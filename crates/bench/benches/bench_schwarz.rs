@@ -19,7 +19,6 @@ fn bench_schwarz(c: &mut Criterion) {
         i_schwarz: 4,
         mr: MrConfig { iterations: 5, tolerance: 0.0, f16_vectors: false },
         additive,
-        overlap: true,
         ..Default::default()
     };
     let op = test_operator(dims, 0.5, 0.2, 21).cast::<f32>();

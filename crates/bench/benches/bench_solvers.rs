@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdd_bench::{test_operator, test_source};
 use qdd_core::bicgstab::{bicgstab, BiCgStabConfig};
-use qdd_core::dd_solver::{DdSolver, DdSolverConfig, Precision};
+use qdd_core::dd_solver::{DdSolver, DdSolverConfig};
 use qdd_core::fgmres_dr::FgmresConfig;
 use qdd_core::mr::MrConfig;
 use qdd_core::schwarz::SchwarzConfig;
@@ -27,13 +27,8 @@ fn bench_solvers(c: &mut Criterion) {
             block: Dims::new(4, 4, 2, 4),
             i_schwarz: 5,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
-        precision: Precision::Single,
-        workers: 1,
-        fused_outer: true,
         ..Default::default()
     };
     let solver = DdSolver::new(test_operator(dims, spread, mass, 31), dd_cfg).unwrap();

@@ -38,13 +38,8 @@ fn base_config() -> DdSolverConfig {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 5,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
-        precision: Precision::Single,
-        workers: 1,
-        fused_outer: true,
         ..Default::default()
     }
 }

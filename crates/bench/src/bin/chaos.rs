@@ -18,7 +18,6 @@ use qdd_comm::{
     dd_solve_resilient, gather_field, run_spmd, scatter_clover, scatter_field, scatter_gauge,
     CommWorld, DistDdConfig,
 };
-use qdd_core::dd_solver::Precision;
 use qdd_core::fgmres_dr::FgmresConfig;
 use qdd_core::mr::MrConfig;
 use qdd_core::schwarz::SchwarzConfig;
@@ -146,11 +145,9 @@ fn main() {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 4,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
-        precision: Precision::Single,
+        ..Default::default()
     };
 
     let true_residual = |x: &SpinorField<f64>| {

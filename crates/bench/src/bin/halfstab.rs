@@ -30,13 +30,9 @@ fn main() {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 6,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
         precision,
-        workers: 1,
-        fused_outer: true,
         ..Default::default()
     };
     let f = test_source(dims, 202);

@@ -25,7 +25,7 @@
 
 use qdd_autotune::{join_against_backend, Autotuner, TuneProblem};
 use qdd_bench::{test_operator, test_source};
-use qdd_core::dd_solver::{DdSolver, DdSolverConfig, Precision};
+use qdd_core::dd_solver::{preconditioner_operator, DdSolver, DdSolverConfig, Precision};
 use qdd_core::fgmres_dr::FgmresConfig;
 use qdd_core::mr::MrConfig;
 use qdd_core::pool::WorkerPool;
@@ -34,7 +34,7 @@ use qdd_dirac::fused_full::{
     build_full_operator_tuned, FullOperator, FusedTuning, StoragePrecision, SwPrefetch,
 };
 use qdd_dirac::wilson::WilsonClover;
-use qdd_field::fields::{CloverFieldF16, GaugeFieldF16, SpinorField};
+use qdd_field::fields::SpinorField;
 use qdd_lattice::Dims;
 use qdd_machine::{BackendKind, MachineBackend, Precision as ModelPrecision};
 use qdd_util::complex::Real;
@@ -167,15 +167,6 @@ fn sweep_storage<T: Real>(
     (flat_times, all_bitwise)
 }
 
-/// The `HalfCompressed` pre-rounding (same construction as `DdSolver`):
-/// constants become exactly f16-representable, so `StoragePrecision::Half`
-/// stores them losslessly.
-fn pre_rounded_f16(op: &WilsonClover<f64>) -> WilsonClover<f32> {
-    let g16 = GaugeFieldF16::compress(&op.gauge().cast()).decompress();
-    let c16 = CloverFieldF16::compress(&op.clover().cast()).decompress();
-    WilsonClover::new(g16, c16, op.mass() as f32, *op.phases())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -203,7 +194,7 @@ fn main() {
     let src = test_source(dims, 802);
     let op32: WilsonClover<f32> = op.cast();
     let src32: SpinorField<f32> = src.cast();
-    let op16 = pre_rounded_f16(&op);
+    let op16 = preconditioner_operator(&op, Precision::HalfCompressed);
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     println!("Memory wall: storage precision x workers x L2 tile budget");
@@ -336,15 +327,13 @@ fn main() {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 2,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
         precision: Precision::HalfCompressed,
         workers: 4,
-        fused_outer: true,
         prefetch,
         l2_bytes: Some(l2 / 2),
+        ..Default::default()
     };
     let i_domain = cfg.schwarz.mr.iterations;
     let solver =

@@ -31,8 +31,6 @@ fn main() {
         block,
         i_schwarz: 8,
         mr: MrConfig { iterations: 5, tolerance: 0.0, f16_vectors: false },
-        additive: false,
-        overlap: true,
         ..Default::default()
     };
     let op = test_operator(dims, 0.5, 0.2, 301).cast::<f32>();

@@ -17,10 +17,11 @@
 //! Writes `results/BENCH_outer.json`.
 
 use qdd_bench::{test_operator, test_source};
+use qdd_core::dd_solver::{preconditioner_operator, Precision};
 use qdd_core::pool::WorkerPool;
 use qdd_dirac::fused_full::{build_full_operator_tuned, FusedTuning, StoragePrecision};
 use qdd_dirac::wilson::WilsonClover;
-use qdd_field::fields::{CloverFieldF16, GaugeFieldF16, SpinorField};
+use qdd_field::fields::SpinorField;
 use qdd_lattice::Dims;
 use qdd_util::complex::Real;
 use serde::Serialize;
@@ -143,16 +144,6 @@ fn bench_precision<T: Real>(
     (t_scalar, best_fused)
 }
 
-/// Pre-round the f32 operator's gauge/clover constants through f16, the
-/// same construction `DdSolver` uses for `Precision::HalfCompressed`:
-/// the returned operator's constants are exactly f16-representable, so
-/// `StoragePrecision::Half` stores them losslessly.
-fn pre_rounded_f16(op: &WilsonClover<f64>) -> WilsonClover<f32> {
-    let g16 = GaugeFieldF16::compress(&op.gauge().cast()).decompress();
-    let c16 = CloverFieldF16::compress(&op.clover().cast()).decompress();
-    WilsonClover::new(g16, c16, op.mass() as f32, *op.phases())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -212,7 +203,7 @@ fn main() {
                 bench_precision("f32", &op32, &src32, StoragePrecision::Native, reps, &mut report)
             }
             _ => {
-                let op16 = pre_rounded_f16(&op);
+                let op16 = preconditioner_operator(&op, Precision::HalfCompressed);
                 bench_precision("f16", &op16, &src32, StoragePrecision::Half, reps, &mut report)
             }
         };

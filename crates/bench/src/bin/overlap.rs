@@ -114,8 +114,6 @@ fn main() {
         block,
         i_schwarz,
         mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-        additive: false,
-        overlap: true,
         ..Default::default()
     };
     let grid = RankGrid::new(global, rank_dims);

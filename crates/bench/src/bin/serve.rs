@@ -71,13 +71,9 @@ fn main() {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 2,
             mr: MrConfig { iterations: 2, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
         precision: Precision::HalfCompressed,
-        workers: 1,
-        fused_outer: true,
         ..Default::default()
     };
     // Heavy quark on a smooth field: the operator is well conditioned,

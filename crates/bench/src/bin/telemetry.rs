@@ -17,7 +17,7 @@
 //! Run: `cargo run -p qdd-bench --release --bin telemetry [-- --smoke]`
 
 use qdd_bench::Report;
-use qdd_core::dd_solver::{DdSolver, DdSolverConfig, Precision};
+use qdd_core::dd_solver::{DdSolver, DdSolverConfig};
 use qdd_core::fgmres_dr::FgmresConfig;
 use qdd_core::mr::MrConfig;
 use qdd_core::schwarz::SchwarzConfig;
@@ -56,13 +56,8 @@ fn main() {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 2,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
-        precision: Precision::Single,
-        workers: 1,
-        fused_outer: true,
         ..Default::default()
     };
 

@@ -8,40 +8,32 @@
 //! reduction by roughly `Idomain` block iterations that Sec. II-D argues
 //! for.
 //!
-//! Communication hiding (Fig. 4b/4c): each half-sweep is executed as a
-//! staged schedule — t-boundary domains first, then the remaining x/y/z
-//! boundary domains, then the interior in two halves. As each stage
-//! finishes, the faces its domains own are packed (color-masked, straight
-//! from the shared iterate) and sent while the next stage computes: the t
-//! full-face first, the x/y/z faces in two halves. Receives are drained
-//! lazily — right before the *dependent* half-sweep — instead of as a bulk
-//! barrier after the sends. The schedule changes only when data moves,
-//! never any arithmetic: results stay bitwise identical to the serial
-//! preconditioner for every worker count and overlap setting.
+//! The sweep itself — rounds, Fig. 4 stages, workers, barriers — is the one
+//! engine in `qdd_core::schwarz` ([`Sweep::run`]); this type is the rank
+//! boundary that engine talks to: the color-masked face lists, the send
+//! wave posted after a stage, and the lazy drain of the receives a later
+//! half-sweep depends on. It changes only when data moves, never any
+//! arithmetic: results stay bitwise identical to the serial preconditioner
+//! for every worker count and overlap setting.
 //!
 //! Domain colors must be *global*: with an odd number of domains per rank
 //! the checkerboard phase alternates from rank to rank, and using local
 //! colors would put adjacent domains in the same half-sweep.
 
 use crate::runtime::{CommError, FacePart, HaloScalar, RankCtx};
-use qdd_core::mr::MrConfig;
-use qdd_core::pool::{
-    blocked_ranges, resolve_workers, LeaderOnly, SharedCells, SharedSpinors, SpinBarrier,
-    WorkerPool,
-};
+use qdd_core::pool::{resolve_workers, WorkerPool};
 use qdd_core::schwarz::{
-    plan_color_schedule, schwarz_block_update, ColorSchedule, FaceHalf, SchwarzConfig, SendSlot,
+    assert_two_colorable, FaceHalf, RankBoundary, SchwarzConfig, SendSlot, Sweep,
 };
-use qdd_dirac::block::{DomainFields, SchurOperator};
+use qdd_dirac::block::DomainFields;
 use qdd_dirac::boundary::{pack_sites_for_backward_hop_with, pack_sites_for_forward_hop_with};
 use qdd_dirac::wilson::WilsonClover;
 use qdd_field::fields::SpinorField;
 use qdd_field::halo::{face_index, HaloData};
 use qdd_field::spinor::{HalfSpinor, HalfSpinorF16, Spinor};
-use qdd_lattice::{Dir, DomainColor, DomainGrid, Parity, SiteIndexer};
+use qdd_lattice::{Dir, DomainColor, DomainGrid, SiteIndexer};
 use qdd_util::stats::{Component, SolveStats};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
 
 /// The wire header a [`FaceHalf`] travels under: halves declare themselves
 /// part 0 or 1 of 2, full faces part 0 of 1. Receivers assert the header
@@ -66,6 +58,21 @@ struct RecvSlot {
     color: DomainColor,
 }
 
+/// Leader-only exchange state of the sweep in flight.
+#[derive(Default)]
+struct Exchange {
+    /// Receives deferred from the previous half-sweep.
+    pending: Vec<RecvSlot>,
+    /// This round's hiccup decision: send one skip marker per channel
+    /// instead of faces (peers keep their stale halo entries for us).
+    hiccup: bool,
+    skip_sent: [[bool; 2]; 4],
+    /// Payload bytes sent / delivered. Counted independently: a hiccuping
+    /// rank skips its sends but still receives and merges its peers' faces.
+    sent: f64,
+    received: f64,
+}
+
 /// One rank's Schwarz preconditioner.
 pub struct DistSchwarz<'a, T: HaloScalar> {
     ctx: &'a RankCtx<'a>,
@@ -73,6 +80,8 @@ pub struct DistSchwarz<'a, T: HaloScalar> {
     fields: DomainFields<T>,
     grid: DomainGrid,
     cfg: SchwarzConfig,
+    /// Local domain indices per *global* color.
+    colors: [Vec<usize>; 2],
     /// `face_sites[d][o][c]`: local site indices on our face `o`
     /// (0 = backward, coord 0; 1 = forward, coord L-1) of direction `d`
     /// owned by global-color-`c` domains, in ascending face-position
@@ -84,13 +93,9 @@ pub struct DistSchwarz<'a, T: HaloScalar> {
     /// `face_positions[d][o][c'.flip()]` — the checkerboard flips across
     /// the rank boundary, so both sides derive identical lists.
     face_positions: [[[Vec<usize>; 2]; 2]; 4],
-    /// The Fig. 4 stage schedule per color (degenerates to one stage with
-    /// a trailing bulk exchange when `cfg.overlap` is off or nothing is
-    /// split).
-    schedules: [ColorSchedule; 2],
-    /// Worker team for the staged half-sweeps (size from `QDD_WORKERS`,
-    /// default 1).
+    /// Worker team for the sweep (size from `QDD_WORKERS`, default 1).
     pool: WorkerPool,
+    exchange: RefCell<Exchange>,
     /// First communication fault, if any: a malformed partial-face
     /// exchange leaves the previous (stale) halo entries in place and is
     /// recorded here instead of aborting the rank thread.
@@ -109,13 +114,8 @@ impl<'a, T: HaloScalar> DistSchwarz<'a, T> {
         let mut offset = 0usize;
         for d in Dir::ALL {
             let doms_per_rank = local[d] / cfg.block[d];
-            // Global domain-grid extent must be even in split directions so
-            // the checkerboard closes around the torus.
-            let global_doms = ctx.grid().grid()[d] * doms_per_rank;
-            assert!(
-                global_doms.is_multiple_of(2) || global_doms == 1,
-                "global domain count in {d} is odd ({global_doms}): two-coloring impossible"
-            );
+            // The checkerboard must close around the *global* torus.
+            assert_two_colorable(d, ctx.grid().grid()[d] * doms_per_rank);
             offset += rc[d] * doms_per_rank;
         }
         let flip = offset % 2 == 1;
@@ -162,12 +162,6 @@ impl<'a, T: HaloScalar> DistSchwarz<'a, T> {
             }
         }
 
-        let split = ctx.split_dirs();
-        let schedules = [
-            plan_color_schedule(&grid, split, &colors[0], cfg.overlap),
-            plan_color_schedule(&grid, split, &colors[1], cfg.overlap),
-        ];
-
         let fields = DomainFields::new(op)?;
         Some(Self {
             ctx,
@@ -175,10 +169,11 @@ impl<'a, T: HaloScalar> DistSchwarz<'a, T> {
             fields,
             grid,
             cfg,
+            colors,
             face_sites,
             face_positions,
-            schedules,
             pool: WorkerPool::new(resolve_workers(1)),
+            exchange: RefCell::default(),
             fault: Cell::new(None),
         })
     }
@@ -191,138 +186,75 @@ impl<'a, T: HaloScalar> DistSchwarz<'a, T> {
     }
 
     #[inline]
-    pub fn grid(&self) -> &DomainGrid {
-        &self.grid
-    }
-
-    #[inline]
     pub fn config(&self) -> &SchwarzConfig {
         &self.cfg
     }
 
-    /// Post one send wave of the just-updated `color`: both orientations
-    /// of every slot's direction, packed color-masked straight from the
-    /// current iterate (read through `fetch` — the shared field while
-    /// other workers compute the next stage). Returns the payload bytes
-    /// sent. A hiccuping rank sends one skip marker per channel per round
-    /// instead (peers keep their stale halo entries for us) and counts
-    /// nothing.
-    fn post_wave<F: Fn(usize) -> Spinor<T>>(
-        &self,
-        wave: &[SendSlot],
-        color: DomainColor,
-        fetch: &F,
-        hiccup: bool,
-        skip_sent: &mut [[bool; 2]; 4],
-    ) -> f64 {
-        let trace = self.ctx.trace();
-        let mut sent = 0.0f64;
-        for slot in wave {
-            let dir = slot.dir;
-            debug_assert!(self.ctx.is_split(dir), "schedule planned a send in an unsplit dir");
-            for o in 0..2 {
-                if hiccup {
-                    if !skip_sent[dir.index()][o] {
-                        self.ctx.send_skip(dir, o == 1);
-                        skip_sent[dir.index()][o] = true;
-                    }
-                    continue;
-                }
-                let sign = if o == 0 {
-                    // Backward face: packed for the forward hops of our
-                    // backward neighbor's sites.
-                    if self.ctx.at_global_backward_edge(dir) {
-                        self.op.phases().of(dir)
-                    } else {
-                        1.0
-                    }
-                } else if self.ctx.at_global_forward_edge(dir) {
-                    self.op.phases().of(dir)
-                } else {
-                    1.0
-                };
-                let sites = &self.face_sites[dir.index()][o][color as usize];
-                let range = slot.half.range(sites.len());
-                trace.begin(qdd_trace::Phase::HaloPack);
-                let data = if o == 0 {
-                    pack_sites_for_forward_hop_with(self.op, fetch, dir, sign, &sites[range])
-                } else {
-                    pack_sites_for_backward_hop_with(self.op, fetch, dir, sign, &sites[range])
-                };
-                trace.end(qdd_trace::Phase::HaloPack);
-                if self.cfg.f16_faces {
-                    // f16 envelope: round the packed boundary half-spinors
-                    // to f16 and ship 24 bytes per site instead of the
-                    // full-width 12 reals (half the f32 halo traffic).
-                    let packed: Vec<HalfSpinorF16> =
-                        data.iter().map(HalfSpinorF16::compress).collect();
-                    sent += (packed.len() * HalfSpinorF16::WIRE_BYTES) as f64;
-                    self.ctx.send_face_part_f16(dir, o == 1, part_of(slot.half), packed);
-                } else {
-                    sent += (data.len() * HalfSpinor::<T>::REALS * std::mem::size_of::<T>()) as f64;
-                    self.ctx.send_face_part(dir, o == 1, part_of(slot.half), data);
-                }
-            }
-        }
-        sent
+    /// Apply the preconditioner: `u ~= A^-1 f` on this rank's sub-volume,
+    /// collaborating with all other ranks — the shared sweep engine with
+    /// this rank's boundary plugged in.
+    pub fn apply(&self, f: &SpinorField<T>, stats: &mut SolveStats) -> SpinorField<T> {
+        let sweep = Sweep {
+            op: self.op,
+            fields: &self.fields,
+            grid: &self.grid,
+            cfg: &self.cfg,
+            colors: &self.colors,
+        };
+        let u = sweep.run(self, &self.pool, f, stats);
+        let done = self.exchange.take();
+        debug_assert!(done.pending.is_empty(), "the last half-sweep sends nothing");
+        stats.add_comm_bytes(Component::PreconditionerM, done.sent);
+        stats.add_comm_recv_bytes(Component::PreconditionerM, done.received);
+        u
+    }
+}
+
+impl<T: HaloScalar> RankBoundary<T> for DistSchwarz<'_, T> {
+    fn split(&self) -> [bool; 4] {
+        self.ctx.split_dirs()
     }
 
-    /// Drain every deferred receive of the previous half-sweep into the
-    /// halo. Returns the payload bytes actually delivered (skips and
-    /// faulted faces contribute nothing — received traffic is counted
-    /// independently of sent traffic, because a hiccuping rank skips its
-    /// sends but still receives and merges its peers' faces).
-    fn drain_pending(&self, pending: &mut Vec<RecvSlot>, halo: &mut HaloData<T>) -> f64 {
-        if pending.is_empty() {
-            return 0.0;
+    /// Faulted parts and peer skips leave the stale halo entries in place.
+    fn drain(&self, halo: &mut HaloData<T>) {
+        let ex = &mut *self.exchange.borrow_mut();
+        if ex.pending.is_empty() {
+            return;
         }
         let trace = self.ctx.trace();
         trace.begin(qdd_trace::Phase::HaloUnpack);
-        let mut got = 0.0f64;
         // A peer that hiccuped this round sent one skip marker on the
         // channel instead of its parts; once seen, expect nothing further
         // from that channel this round.
         let mut peer_skipped = [[false; 2]; 4];
-        for slot in pending.drain(..) {
+        for slot in ex.pending.drain(..) {
             let o = slot.forward as usize;
             if peer_skipped[slot.dir.index()][o] {
                 continue;
             }
+            let (part, attempts) = (part_of(slot.half), self.ctx.retry_policy().max_attempts);
             // f16 envelopes are up-converted at the merge; either way the
             // halo holds compute-precision half-spinors and the received
             // ledger counts the wire bytes of the format that traveled.
             let received = if self.cfg.f16_faces {
-                self.ctx
-                    .recv_face_part_retrying_f16(
-                        slot.dir,
-                        slot.forward,
-                        part_of(slot.half),
-                        self.ctx.retry_policy().max_attempts,
-                    )
-                    .map(|opt| {
+                self.ctx.recv_face_part_retrying_f16(slot.dir, slot.forward, part, attempts).map(
+                    |opt| {
                         opt.map(|packed| {
-                            let bytes = (packed.len() * HalfSpinorF16::WIRE_BYTES) as f64;
-                            let data: Vec<HalfSpinor<T>> =
-                                packed.iter().map(HalfSpinorF16::decompress).collect();
-                            (data, bytes)
+                            let bytes = packed.len() * HalfSpinorF16::WIRE_BYTES;
+                            (packed.iter().map(HalfSpinorF16::decompress).collect(), bytes)
                         })
-                    })
+                    },
+                )
             } else {
-                self.ctx
-                    .recv_face_part_retrying::<T>(
-                        slot.dir,
-                        slot.forward,
-                        part_of(slot.half),
-                        self.ctx.retry_policy().max_attempts,
-                    )
-                    .map(|opt| {
-                        opt.map(|data| {
+                self.ctx.recv_face_part_retrying::<T>(slot.dir, slot.forward, part, attempts).map(
+                    |opt| {
+                        opt.map(|data: Vec<HalfSpinor<T>>| {
                             let bytes =
-                                (data.len() * HalfSpinor::<T>::REALS * std::mem::size_of::<T>())
-                                    as f64;
+                                data.len() * HalfSpinor::<T>::REALS * std::mem::size_of::<T>();
                             (data, bytes)
                         })
-                    })
+                    },
+                )
             };
             match received {
                 Ok(Some((data, bytes))) => {
@@ -339,20 +271,18 @@ impl<'a, T: HaloScalar> DistSchwarz<'a, T> {
                         slot.dir,
                         slot.forward
                     );
-                    got += bytes;
+                    ex.received += bytes as f64;
                     let buf = halo.face_mut(slot.dir, slot.forward);
                     for (h, &k) in data.into_iter().zip(&positions[range]) {
                         buf.data[k] = h;
                     }
                 }
-                // Peer hiccup: it skipped this exchange. Keep the stale
-                // halo entries; benign under a flexible outer solver, so
-                // no fault is recorded.
+                // Peer hiccup: it skipped this exchange. Benign under a
+                // flexible outer solver, so no fault is recorded.
                 Ok(None) => peer_skipped[slot.dir.index()][o] = true,
                 Err(e) => {
-                    // Retry budget exhausted: keep the stale halo entries
-                    // for this part, record the fault, and keep draining
-                    // the remaining parts so channels stay aligned.
+                    // Retry budget exhausted: record the fault and keep
+                    // draining the remaining parts so channels stay aligned.
                     if self.fault.get().is_none() {
                         self.fault.set(Some(e));
                     }
@@ -360,207 +290,66 @@ impl<'a, T: HaloScalar> DistSchwarz<'a, T> {
             }
         }
         trace.end(qdd_trace::Phase::HaloUnpack);
-        got
     }
 
-    /// Apply the preconditioner: `u ~= A^-1 f` on this rank's sub-volume,
-    /// collaborating with all other ranks.
-    ///
-    /// Executes the Fig. 4 schedule: per half-sweep, the leader (worker 0,
-    /// the rank thread — the only one allowed to touch the `!Sync` comm
-    /// context) first drains the receives deferred from the previous
-    /// half-sweep, then the team computes the boundary-first stages with
-    /// the leader posting each finished stage's send wave while the next
-    /// stage runs. Bitwise identical to the serial
-    /// [`SchwarzPreconditioner`](qdd_core::schwarz::SchwarzPreconditioner)
-    /// for every worker count and overlap setting: face sites belong
-    /// exclusively to boundary domains (finished before their face is
-    /// packed), same-color domains are never adjacent (so intra-color
-    /// reordering changes no update), and a color-`C'` half-sweep reads
-    /// only color-`C` halo entries (exactly the freshly merged ones).
-    pub fn apply(&self, f: &SpinorField<T>, stats: &mut SolveStats) -> SpinorField<T> {
-        let local = *self.op.dims();
-        assert_eq!(*f.dims(), local);
-        let mut u = SpinorField::<T>::zeros(local);
-        let mut halo_u = HaloData::<T>::zeros(local);
+    fn begin_round(&self) {
+        let ex = &mut *self.exchange.borrow_mut();
+        ex.hiccup = self.ctx.take_hiccup();
+        ex.skip_sent = [[false; 2]; 4];
+    }
 
-        let workers = self.pool.workers();
-        let split = self.ctx.split_dirs();
-        let rounds = 2 * self.cfg.i_schwarz;
-        let shared = SharedSpinors::new(u.as_mut_slice());
-        // The halo is epoch-shared: the leader writes it while everyone
-        // else waits at the round barrier; all workers read it during the
-        // compute stages.
-        let halo_slot = std::slice::from_mut(&mut halo_u);
-        let halo_cell = SharedCells::new(halo_slot);
-        let barrier = SpinBarrier::new(workers);
-        let worker_flops: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let sink = stats.sink().clone();
-        // `self` holds the `!Sync` comm context; only the leader (worker
-        // 0 = this thread) dereferences it inside the job.
-        let leader = LeaderOnly::new(self);
-        let ledger_cells = (Cell::new(0.0f64), Cell::new(0.0f64));
-        let ledger = LeaderOnly::new(&ledger_cells);
-        let op = self.op;
-        let fields = &self.fields;
-        let grid = &self.grid;
-        let mr = &self.cfg.mr;
-        let schedules = &self.schedules;
-
-        self.pool.run(&|w| {
-            let sense = Cell::new(false);
-            let mut rec = sink.thread(w as u32 + 1);
-            rec.begin(qdd_trace::Phase::PoolJob);
-            let mut flops = 0.0;
-            // Receives deferred from the previous half-sweep (leader-only
-            // state; empty on every other worker).
-            let mut pending: Vec<RecvSlot> = Vec::new();
-            for round in 0..rounds {
-                let color = DomainColor::ALL[round % 2];
-                let last = round + 1 == rounds;
-                let sched = &schedules[color as usize];
-                if w == 0 {
-                    if round % 2 == 0 {
-                        sink.begin(qdd_trace::Phase::SchwarzSweep);
+    /// Both orientations of every slot's direction, packed color-masked
+    /// straight from the iterate; the matching receives are queued for the
+    /// next [`drain`](RankBoundary::drain).
+    fn post_wave<F: Fn(usize) -> Spinor<T>>(&self, wave: &[SendSlot], color: DomainColor, u: &F) {
+        let ex = &mut *self.exchange.borrow_mut();
+        let trace = self.ctx.trace();
+        for slot in wave {
+            let dir = slot.dir;
+            debug_assert!(self.ctx.is_split(dir), "schedule planned a send in an unsplit dir");
+            for forward in [true, false] {
+                ex.pending.push(RecvSlot { dir, forward, half: slot.half, color });
+            }
+            for o in 0..2 {
+                if ex.hiccup {
+                    if !ex.skip_sent[dir.index()][o] {
+                        self.ctx.send_skip(dir, o == 1);
+                        ex.skip_sent[dir.index()][o] = true;
                     }
-                    // SAFETY (LeaderOnly): worker 0 runs on the thread
-                    // that built the wrappers. SAFETY (SharedCells): no
-                    // reader before the barrier below.
-                    let this = unsafe { leader.get() };
-                    let halo = &mut unsafe { halo_cell.slice_mut(0..1) }[0];
-                    let got = this.drain_pending(&mut pending, halo);
-                    let l = unsafe { ledger.get() };
-                    l.1.set(l.1.get() + got);
+                    continue;
                 }
-                barrier.wait(&sense);
-                rec.begin(qdd_trace::Phase::ColorSweep);
-                // One hiccup decision per exchange round, taken before the
-                // first wave so every wave of the round skips together.
-                let hiccup = if w == 0 && !last {
-                    // SAFETY: leader-only, see above.
-                    unsafe { leader.get() }.ctx.take_hiccup()
+                // The backward face is packed for the forward hops of our
+                // backward neighbor's sites, and vice versa.
+                let at_edge = if o == 0 {
+                    self.ctx.at_global_backward_edge(dir)
                 } else {
-                    false
+                    self.ctx.at_global_forward_edge(dir)
                 };
-                let mut skip_sent = [[false; 2]; 4];
-                for (si, stage) in sched.stages.iter().enumerate() {
-                    if w == 0 && si > 0 && !last {
-                        // The previous stage's faces are final (their
-                        // owning domains finished behind the last
-                        // barrier): pack and send them while this stage
-                        // computes. SAFETY (fetch): face sites belong to
-                        // completed boundary stages; this stage writes
-                        // only its own domains' sites.
-                        let this = unsafe { leader.get() };
-                        let sent = this.post_wave(
-                            &sched.sends_after[si - 1],
-                            color,
-                            &|i: usize| unsafe { shared.read(i) },
-                            hiccup,
-                            &mut skip_sent,
-                        );
-                        let l = unsafe { ledger.get() };
-                        l.0.set(l.0.get() + sent);
-                    }
-                    let range = blocked_ranges(stage.len(), workers)[w].clone();
-                    for &dom_idx in &stage[range] {
-                        rec.begin(qdd_trace::Phase::DomainSolve);
-                        // SAFETY (SharedSpinors): reads touch the domain
-                        // (owned by this worker in this epoch) and its
-                        // opposite-color neighbors (not written in this
-                        // epoch); writes touch only the owned domain.
-                        // SAFETY (SharedCells): no halo writer after the
-                        // round barrier.
-                        let fetch = |i: usize| unsafe { shared.read(i) };
-                        let halo = unsafe { halo_cell.get(0) };
-                        let schur = SchurOperator::new(op, fields, grid.domain(dom_idx));
-                        let au =
-                            |g: usize| op.apply_site_with_halo_fetch_split(g, fetch, halo, split);
-                        let (z_e, z_o, fl) = schwarz_block_update(&schur, mr, f, au);
-                        schur.scatter_add_cb_with(
-                            |g, v| unsafe { shared.add(g, v) },
-                            &z_e,
-                            Parity::Even,
-                        );
-                        schur.scatter_add_cb_with(
-                            |g, v| unsafe { shared.add(g, v) },
-                            &z_o,
-                            Parity::Odd,
-                        );
-                        flops += fl;
-                        rec.end(qdd_trace::Phase::DomainSolve);
-                    }
-                    barrier.wait(&sense);
-                }
-                rec.end(qdd_trace::Phase::ColorSweep);
-                if w == 0 {
-                    if !last {
-                        // SAFETY: leader-only, see above.
-                        let this = unsafe { leader.get() };
-                        let sent = this.post_wave(
-                            sched.sends_after.last().map_or(&[][..], |v| v),
-                            color,
-                            &|i: usize| unsafe { shared.read(i) },
-                            hiccup,
-                            &mut skip_sent,
-                        );
-                        let l = unsafe { ledger.get() };
-                        l.0.set(l.0.get() + sent);
-                        for wave in &sched.sends_after {
-                            for slot in wave {
-                                for forward in [true, false] {
-                                    pending.push(RecvSlot {
-                                        dir: slot.dir,
-                                        forward,
-                                        half: slot.half,
-                                        color,
-                                    });
-                                }
-                            }
-                        }
-                        if sched.stages.len() == 1 {
-                            // Degenerate schedule (overlap off or nothing
-                            // split): the legacy bulk exchange — drain
-                            // right here, exposing the full wait. SAFETY
-                            // (SharedCells): every other worker is parked
-                            // at the next round's barrier, no reader.
-                            let halo = &mut unsafe { halo_cell.slice_mut(0..1) }[0];
-                            let got = this.drain_pending(&mut pending, halo);
-                            l.1.set(l.1.get() + got);
-                        }
-                    }
-                    if round % 2 == 1 {
-                        sink.end(qdd_trace::Phase::SchwarzSweep);
-                    }
+                let sign = if at_edge { self.op.phases().of(dir) } else { 1.0 };
+                let sites = &self.face_sites[dir.index()][o][color as usize];
+                let sites = &sites[slot.half.range(sites.len())];
+                trace.begin(qdd_trace::Phase::HaloPack);
+                let data = if o == 0 {
+                    pack_sites_for_forward_hop_with(self.op, u, dir, sign, sites)
+                } else {
+                    pack_sites_for_backward_hop_with(self.op, u, dir, sign, sites)
+                };
+                trace.end(qdd_trace::Phase::HaloPack);
+                if self.cfg.f16_faces {
+                    // f16 envelope: round the packed boundary half-spinors
+                    // to f16 and ship 24 bytes per site instead of the
+                    // full-width 12 reals (half the f32 halo traffic).
+                    let packed: Vec<HalfSpinorF16> =
+                        data.iter().map(HalfSpinorF16::compress).collect();
+                    ex.sent += (packed.len() * HalfSpinorF16::WIRE_BYTES) as f64;
+                    self.ctx.send_face_part_f16(dir, o == 1, part_of(slot.half), packed);
+                } else {
+                    ex.sent +=
+                        (data.len() * HalfSpinor::<T>::REALS * std::mem::size_of::<T>()) as f64;
+                    self.ctx.send_face_part(dir, o == 1, part_of(slot.half), data);
                 }
             }
-            rec.end(qdd_trace::Phase::PoolJob);
-            rec.flush();
-            worker_flops[w].store(flops.to_bits(), Ordering::Relaxed);
-        });
-
-        stats.add_flops(
-            Component::PreconditionerM,
-            worker_flops.iter().map(|b| f64::from_bits(b.load(Ordering::Relaxed))).sum(),
-        );
-        stats.add_comm_bytes(Component::PreconditionerM, ledger_cells.0.get());
-        stats.add_comm_recv_bytes(Component::PreconditionerM, ledger_cells.1.get());
-        // Unsplit directions never pack, send, or merge anything: their
-        // halo faces must still be all zero (the split-aware operator
-        // wraps those hops through the local field instead).
-        debug_assert!(Dir::ALL.into_iter().filter(|&d| !self.ctx.is_split(d)).all(|d| {
-            [false, true].into_iter().all(|fw| {
-                halo_u.face(d, fw).data.iter().all(|h| {
-                    h.0.iter().all(|v| v.0.iter().all(|z| z.re == T::ZERO && z.im == T::ZERO))
-                })
-            })
-        }));
-        u
-    }
-
-    /// MR configuration in use.
-    pub fn mr_config(&self) -> &MrConfig {
-        &self.cfg.mr
+        }
     }
 }
 
@@ -569,6 +358,7 @@ mod tests {
     use super::*;
     use crate::runtime::{run_spmd, CommWorld};
     use crate::scatter::{gather_field, scatter_clover, scatter_field, scatter_gauge};
+    use qdd_core::mr::MrConfig;
     use qdd_core::schwarz::SchwarzPreconditioner;
     use qdd_dirac::clover::build_clover_field;
     use qdd_dirac::gamma::GammaBasis;
@@ -582,8 +372,6 @@ mod tests {
             block,
             i_schwarz: sweeps,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         }
     }

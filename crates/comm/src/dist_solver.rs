@@ -5,29 +5,54 @@
 use crate::dist_schwarz::DistSchwarz;
 use crate::dist_system::DistSystem;
 use crate::runtime::{CommError, RankCtx};
-use qdd_core::dd_solver::Precision;
+use qdd_core::dd_solver::{preconditioner_operator, Precision};
 use qdd_core::fgmres_dr::{fgmres_dr, Breakdown, FgmresConfig, SolveOutcome};
 use qdd_core::schwarz::SchwarzConfig;
 use qdd_core::system::SystemOps;
 use qdd_dirac::wilson::WilsonClover;
-use qdd_field::fields::{CloverFieldF16, GaugeFieldF16, SpinorField};
+use qdd_field::fields::SpinorField;
 use qdd_trace::CommStats;
 use qdd_util::stats::SolveStats;
 
 /// Configuration of a distributed DD solve.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Default)]
 pub struct DistDdConfig {
     pub fgmres: FgmresConfig,
     pub schwarz: SchwarzConfig,
     pub precision: Precision,
 }
 
+/// The flexible preconditioner as the outer solver takes it.
+type Precond<'p> = dyn FnMut(&SpinorField<f64>, &mut SolveStats) -> SpinorField<f64> + 'p;
+
+/// One rank's assembled DD solver, handed to `run`: the outer system over
+/// `op`, the preconditioner `cast · M · cast` over the distributed Schwarz
+/// sweep on the f32 (or f16-rounded) operator, and that sweep itself (for
+/// its fault record). One switch, `cfg.schwarz.overlap`, governs hiding in
+/// both the inner sweep and the outer matvec. Returns `run`'s result and
+/// this rank's network traffic while it ran (the delta of the context's
+/// [`CommCounters`](crate::runtime::CommCounters)).
+fn with_rank_solver<R>(
+    ctx: &RankCtx<'_>,
+    op: &WilsonClover<f64>,
+    cfg: &DistDdConfig,
+    run: impl FnOnce(&DistSystem<'_, f64>, &mut Precond<'_>, &DistSchwarz<'_, f32>) -> R,
+) -> (R, CommStats) {
+    let before = ctx.counters.snapshot();
+    let op32 = preconditioner_operator(op, cfg.precision);
+    let pre =
+        DistSchwarz::new(ctx, &op32, cfg.schwarz).expect("singular clover block in preconditioner");
+    let sys = DistSystem::new(ctx, op).with_overlap(cfg.schwarz.overlap);
+    let mut precond = |r: &SpinorField<f64>, st: &mut SolveStats| pre.apply(&r.cast(), st).cast();
+    let result = run(&sys, &mut precond, &pre);
+    (result, ctx.counters.snapshot().since(&before))
+}
+
 /// Run the paper's solver on this rank: double-precision FGMRES-DR outer,
 /// single- (or half-compressed-) precision distributed Schwarz inner.
 /// SPMD: every rank calls this with its local operator and local rhs.
 ///
-/// The third return value is this rank's network traffic during the solve
-/// (the delta of the context's [`CommCounters`](crate::runtime::CommCounters)),
+/// The third return value is this rank's network traffic during the solve,
 /// so callers can attribute bytes per direction without bookkeeping of
 /// their own.
 pub fn dd_solve_distributed(
@@ -37,26 +62,9 @@ pub fn dd_solve_distributed(
     cfg: &DistDdConfig,
     stats: &mut SolveStats,
 ) -> (SpinorField<f64>, SolveOutcome, CommStats) {
-    let before = ctx.counters.snapshot();
-    let op32 = match cfg.precision {
-        Precision::Single => op.cast::<f32>(),
-        Precision::HalfCompressed => {
-            let g16 = GaugeFieldF16::compress(&op.gauge().cast()).decompress();
-            let c16 = CloverFieldF16::compress(&op.clover().cast()).decompress();
-            WilsonClover::new(g16, c16, op.mass() as f32, *op.phases())
-        }
-    };
-    let pre =
-        DistSchwarz::new(ctx, &op32, cfg.schwarz).expect("singular clover block in preconditioner");
-    // One switch governs hiding on both paths: the inner Schwarz sweep
-    // (above) and the outer matvec (here).
-    let sys = DistSystem::new(ctx, op).with_overlap(cfg.schwarz.overlap);
-    let mut precond = |r: &SpinorField<f64>, st: &mut SolveStats| -> SpinorField<f64> {
-        let r32: SpinorField<f32> = r.cast();
-        pre.apply(&r32, st).cast()
-    };
-    let (x, out) = fgmres_dr(&sys, f, &mut precond, &cfg.fgmres, stats);
-    let comm = ctx.counters.snapshot().since(&before);
+    let ((x, out), comm) = with_rank_solver(ctx, op, cfg, |sys, precond, _| {
+        fgmres_dr(sys, f, precond, &cfg.fgmres, stats)
+    });
     (x, out, comm)
 }
 
@@ -187,133 +195,115 @@ pub fn dd_solve_resilient_warm(
     max_restarts: u32,
     stats: &mut SolveStats,
 ) -> (SpinorField<f64>, ResilientOutcome, CommStats) {
-    let before = ctx.counters.snapshot();
-    let op32 = match cfg.precision {
-        Precision::Single => op.cast::<f32>(),
-        Precision::HalfCompressed => {
-            let g16 = GaugeFieldF16::compress(&op.gauge().cast()).decompress();
-            let c16 = CloverFieldF16::compress(&op.clover().cast()).decompress();
-            WilsonClover::new(g16, c16, op.mass() as f32, *op.phases())
-        }
-    };
-    let pre =
-        DistSchwarz::new(ctx, &op32, cfg.schwarz).expect("singular clover block in preconditioner");
-    // As in `dd_solve_distributed`: `cfg.schwarz.overlap` governs hiding
-    // on the outer matvec too.
-    let sys = DistSystem::new(ctx, op).with_overlap(cfg.schwarz.overlap);
-    let mut precond = |r: &SpinorField<f64>, st: &mut SolveStats| -> SpinorField<f64> {
-        let r32: SpinorField<f32> = r.cast();
-        pre.apply(&r32, st).cast()
-    };
-
-    let f_norm = sys.norm_sqr(f, stats).sqrt();
-    let mut res = ResilientOutcome {
-        outcome: SolveOutcome {
-            converged: f_norm == 0.0,
-            iterations: 0,
-            cycles: 0,
-            relative_residual: if f_norm == 0.0 { 0.0 } else { 1.0 },
-            history: Vec::new(),
-            breakdown: None,
-        },
-        restarts: 0,
-        breakdowns: Vec::new(),
-        rollbacks: 0,
-        comm_faulted: false,
-        local_comm_error: None,
-        warm_started: false,
-        warm_rejected: false,
-    };
-    // Checkpoint: the accepted solution so far, with its true relative
-    // residual (vs. `f`). Rollback = refusing a round's correction.
-    let mut x = SpinorField::<f64>::zeros(*f.dims());
-    let mut best_rel = res.outcome.relative_residual;
-    // Audit a warm-start iterate against the cold start: accept it as the
-    // initial checkpoint only if its honest residual on *this* world
-    // improves on the zero vector's (rel = 1).
-    let mut x_is_zero = true;
-    if let Some(x0) = x0 {
-        if f_norm > 0.0 {
-            let mut ax = SpinorField::zeros(*f.dims());
-            sys.apply(&mut ax, x0, stats);
-            let mut g0 = f.clone();
-            g0.sub_assign(&ax);
-            let rel = sys.norm_sqr(&g0, stats).sqrt() / f_norm;
-            if rel.is_finite() && rel < best_rel {
-                x = x0.clone();
-                best_rel = rel;
-                x_is_zero = false;
-                res.warm_started = true;
-            } else {
-                res.warm_rejected = true;
+    let ((x, res), comm) = with_rank_solver(ctx, op, cfg, |sys, precond, pre| {
+        let f_norm = sys.norm_sqr(f, stats).sqrt();
+        let mut res = ResilientOutcome {
+            outcome: SolveOutcome {
+                converged: f_norm == 0.0,
+                iterations: 0,
+                cycles: 0,
+                relative_residual: if f_norm == 0.0 { 0.0 } else { 1.0 },
+                history: Vec::new(),
+                breakdown: None,
+            },
+            restarts: 0,
+            breakdowns: Vec::new(),
+            rollbacks: 0,
+            comm_faulted: false,
+            local_comm_error: None,
+            warm_started: false,
+            warm_rejected: false,
+        };
+        // Checkpoint: the accepted solution so far, with its true relative
+        // residual (vs. `f`). Rollback = refusing a round's correction.
+        let mut x = SpinorField::<f64>::zeros(*f.dims());
+        let mut best_rel = res.outcome.relative_residual;
+        // Audit a warm-start iterate against the cold start: accept it as the
+        // initial checkpoint only if its honest residual on *this* world
+        // improves on the zero vector's (rel = 1).
+        let mut x_is_zero = true;
+        if let Some(x0) = x0 {
+            if f_norm > 0.0 {
+                let mut ax = SpinorField::zeros(*f.dims());
+                sys.apply(&mut ax, x0, stats);
+                let mut g0 = f.clone();
+                g0.sub_assign(&ax);
+                let rel = sys.norm_sqr(&g0, stats).sqrt() / f_norm;
+                if rel.is_finite() && rel < best_rel {
+                    x = x0.clone();
+                    best_rel = rel;
+                    x_is_zero = false;
+                    res.warm_started = true;
+                } else {
+                    res.warm_rejected = true;
+                }
             }
         }
-    }
 
-    let mut round = 0u32;
-    while best_rel > cfg.fgmres.tolerance && round <= max_restarts {
-        // Residual correction system: g = f - A x (first round from a
-        // cold start: g = f, no operator application needed).
-        let g = if round == 0 && x_is_zero {
-            f.clone()
-        } else {
-            let mut ax = SpinorField::zeros(*f.dims());
-            sys.apply(&mut ax, &x, stats);
-            let mut g = f.clone();
-            g.sub_assign(&ax);
-            g
-        };
-        let g_norm = sys.norm_sqr(&g, stats).sqrt();
-        if !g_norm.is_finite() || g_norm <= 0.0 {
-            break;
+        let mut round = 0u32;
+        while best_rel > cfg.fgmres.tolerance && round <= max_restarts {
+            // Residual correction system: g = f - A x (first round from a
+            // cold start: g = f, no operator application needed).
+            let g = if round == 0 && x_is_zero {
+                f.clone()
+            } else {
+                let mut ax = SpinorField::zeros(*f.dims());
+                sys.apply(&mut ax, &x, stats);
+                let mut g = f.clone();
+                g.sub_assign(&ax);
+                g
+            };
+            let g_norm = sys.norm_sqr(&g, stats).sqrt();
+            if !g_norm.is_finite() || g_norm <= 0.0 {
+                break;
+            }
+            // The inner tolerance is relative to ||g||; convert the outer
+            // target (relative to ||f||) into this round's frame.
+            let mut round_cfg = cfg.fgmres;
+            round_cfg.tolerance = (cfg.fgmres.tolerance * f_norm / g_norm).min(0.99);
+            let (e, out) = fgmres_dr(sys, &g, precond, &round_cfg, stats);
+            res.outcome.iterations += out.iterations;
+            res.outcome.cycles += out.cycles;
+            res.outcome.history.extend(out.history.iter().copied());
+            if let Some(b) = out.breakdown {
+                res.breakdowns.push(b);
+            }
+            // out.relative_residual is the honest, recomputed residual of the
+            // correction solve (vs. ||g||); rebase to the original system.
+            let cand_rel = out.relative_residual * g_norm / f_norm;
+            if cand_rel.is_finite() && cand_rel < best_rel {
+                // Accept: the round made progress (even a broken-down round
+                // leaves its iterate at the last healthy cycle boundary, so
+                // partial progress survives the breakdown).
+                x.axpy(qdd_util::complex::Complex::real(1.0), &e);
+                best_rel = cand_rel;
+            } else {
+                // Rollback: keep the checkpoint, discard the correction.
+                res.rollbacks += 1;
+            }
+            res.outcome.breakdown = out.breakdown;
+            if out.breakdown.is_none() && !out.converged && cand_rel > cfg.fgmres.tolerance {
+                // The solver ran out of iterations without misbehaving:
+                // restarting would just repeat the same stall. Stop honestly.
+                break;
+            }
+            round += 1;
         }
-        // The inner tolerance is relative to ||g||; convert the outer
-        // target (relative to ||f||) into this round's frame.
-        let mut round_cfg = cfg.fgmres;
-        round_cfg.tolerance = (cfg.fgmres.tolerance * f_norm / g_norm).min(0.99);
-        let (e, out) = fgmres_dr(&sys, &g, &mut precond, &round_cfg, stats);
-        res.outcome.iterations += out.iterations;
-        res.outcome.cycles += out.cycles;
-        res.outcome.history.extend(out.history.iter().copied());
-        if let Some(b) = out.breakdown {
-            res.breakdowns.push(b);
+        res.restarts = round.saturating_sub(1);
+        res.outcome.relative_residual = best_rel;
+        res.outcome.converged = best_rel <= cfg.fgmres.tolerance;
+        if res.outcome.converged {
+            res.outcome.breakdown = None;
         }
-        // out.relative_residual is the honest, recomputed residual of the
-        // correction solve (vs. ||g||); rebase to the original system.
-        let cand_rel = out.relative_residual * g_norm / f_norm;
-        if cand_rel.is_finite() && cand_rel < best_rel {
-            // Accept: the round made progress (even a broken-down round
-            // leaves its iterate at the last healthy cycle boundary, so
-            // partial progress survives the breakdown).
-            x.axpy(qdd_util::complex::Complex::real(1.0), &e);
-            best_rel = cand_rel;
-        } else {
-            // Rollback: keep the checkpoint, discard the correction.
-            res.rollbacks += 1;
-        }
-        res.outcome.breakdown = out.breakdown;
-        if out.breakdown.is_none() && !out.converged && cand_rel > cfg.fgmres.tolerance {
-            // The solver ran out of iterations without misbehaving:
-            // restarting would just repeat the same stall. Stop honestly.
-            break;
-        }
-        round += 1;
-    }
-    res.restarts = round.saturating_sub(1);
-    res.outcome.relative_residual = best_rel;
-    res.outcome.converged = best_rel <= cfg.fgmres.tolerance;
-    if res.outcome.converged {
-        res.outcome.breakdown = None;
-    }
 
-    // Collective agreement on "did anything fault anywhere": every rank
-    // must report the same flag (SPMD discipline), while the local error
-    // detail stays rank-local.
-    res.local_comm_error = sys.comm_error().or_else(|| pre.comm_error());
-    let any = ctx.all_sum(&[res.local_comm_error.is_some() as u64 as f64]);
-    res.comm_faulted = any[0] > 0.0;
-
-    let comm = ctx.counters.snapshot().since(&before);
+        // Collective agreement on "did anything fault anywhere": every rank
+        // must report the same flag (SPMD discipline), while the local error
+        // detail stays rank-local.
+        res.local_comm_error = sys.comm_error().or_else(|| pre.comm_error());
+        let any = ctx.all_sum(&[res.local_comm_error.is_some() as u64 as f64]);
+        res.comm_faulted = any[0] > 0.0;
+        (x, res)
+    });
     (x, res, comm)
 }
 
@@ -349,8 +339,6 @@ mod tests {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 4,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         };
 
@@ -360,14 +348,7 @@ mod tests {
             // Scalar outer path: this test compares iteration counts
             // against the distributed solver, which applies the operator
             // with the scalar site loop and plain left-to-right sums.
-            DdSolverConfig {
-                fgmres,
-                schwarz,
-                precision: Precision::Single,
-                workers: 1,
-                fused_outer: false,
-                ..Default::default()
-            },
+            DdSolverConfig { fgmres, schwarz, fused_outer: false, ..Default::default() },
         )
         .unwrap();
         let mut st = SolveStats::new();
@@ -379,7 +360,7 @@ mod tests {
         let local_clover = scatter_clover(&clover, &grid);
         let f_local = scatter_field(&f, &grid);
         let world = CommWorld::new(grid.clone());
-        let cfg = DistDdConfig { fgmres, schwarz, precision: Precision::Single };
+        let cfg = DistDdConfig { fgmres, schwarz, ..Default::default() };
         let results = run_spmd(&world, |ctx| {
             let r = ctx.rank();
             let op =
@@ -450,11 +431,10 @@ mod tests {
                 block: Dims::new(4, 4, 4, 4),
                 i_schwarz: 4,
                 mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-                additive: false,
-                overlap: true,
                 f16_faces,
+                ..Default::default()
             };
-            let cfg = DistDdConfig { fgmres, schwarz, precision: Precision::Single };
+            let cfg = DistDdConfig { fgmres, schwarz, ..Default::default() };
             let world = CommWorld::new(grid.clone());
             run_spmd(&world, |ctx| {
                 let r = ctx.rank();
@@ -516,11 +496,9 @@ mod tests {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 8,
             mr: MrConfig { iterations: 5, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         };
-        let cfg = DistDdConfig { fgmres, schwarz, precision: Precision::Single };
+        let cfg = DistDdConfig { fgmres, schwarz, ..Default::default() };
 
         let world = CommWorld::new(grid.clone());
         let dd = run_spmd(&world, |ctx| {
@@ -585,11 +563,9 @@ mod tests {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 4,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         };
-        let cfg = DistDdConfig { fgmres, schwarz, precision: Precision::Single };
+        let cfg = DistDdConfig { fgmres, schwarz, ..Default::default() };
 
         let solve = |x0: Option<&Vec<SpinorField<f64>>>| {
             let world = CommWorld::new(grid.clone());

@@ -24,8 +24,6 @@ fn dist_schwarz_single_domain_direction() {
         block,
         i_schwarz: 2,
         mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-        additive: false,
-        overlap: true,
         ..Default::default()
     };
     let grid = RankGrid::new(global_dims, rank_dims);

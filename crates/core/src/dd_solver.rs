@@ -8,7 +8,7 @@
 use crate::fgmres_dr::{fgmres_dr_with_workspace, FgmresConfig, SolveOutcome};
 use crate::pool::{resolve_workers, WorkerPool, WorkspacePool};
 use crate::schwarz::{SchwarzConfig, SchwarzPreconditioner};
-use crate::system::{FusedSystem, LocalSystem};
+use crate::system::{FusedSystem, LocalSystem, SystemOps};
 use qdd_dirac::fused_full::{
     build_full_operator_tuned, FullOperator, FusedTuning, StoragePrecision, SwPrefetch,
 };
@@ -20,9 +20,10 @@ use std::sync::Mutex;
 /// Storage precision of the preconditioner's constant data (gauge links
 /// and clover matrices). Iteration vectors are always f32 in the
 /// preconditioner (paper Sec. III-B).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum Precision {
     /// Gauge and clover in f32.
+    #[default]
     Single,
     /// Gauge and clover stored in f16 (KNC up/down-conversion semantics),
     /// halving the constant working set from 144 kB to 72 kB per domain.
@@ -106,7 +107,21 @@ impl DdSolverConfig {
     }
 }
 
-pub use crate::fgmres_dr::SolveOutcome as Outcome;
+/// The preconditioner's operator, derived from the double-precision one:
+/// cast to f32, with gauge and clover rounded through f16 for
+/// [`Precision::HalfCompressed`] (so streaming them as genuine f16 later is
+/// lossless). Every DD solve — single-rank, distributed, benchmarked —
+/// builds its `M` on this.
+pub fn preconditioner_operator(op: &WilsonClover<f64>, precision: Precision) -> WilsonClover<f32> {
+    match precision {
+        Precision::Single => op.cast::<f32>(),
+        Precision::HalfCompressed => {
+            let g16 = GaugeFieldF16::compress(&op.gauge().cast()).decompress();
+            let c16 = CloverFieldF16::compress(&op.clover().cast()).decompress();
+            WilsonClover::new(g16, c16, op.mass() as f32, *op.phases())
+        }
+    }
+}
 
 /// The assembled solver.
 pub struct DdSolver {
@@ -136,23 +151,16 @@ impl DdSolver {
     /// operator is derived from the double-precision `op`. Returns `None`
     /// if a clover site block is singular.
     pub fn new(op: WilsonClover<f64>, cfg: DdSolverConfig) -> Option<Self> {
-        let op32 = match cfg.precision {
-            Precision::Single => op.cast::<f32>(),
-            Precision::HalfCompressed => {
-                let g16 = GaugeFieldF16::compress(&op.gauge().cast()).decompress();
-                let c16 = CloverFieldF16::compress(&op.clover().cast()).decompress();
-                WilsonClover::new(g16, c16, op.mass() as f32, *op.phases())
-            }
-        };
-        let pre = SchwarzPreconditioner::new(op32, cfg.schwarz)?;
+        let pre =
+            SchwarzPreconditioner::new(preconditioner_operator(&op, cfg.precision), cfg.schwarz)?;
         let pool = WorkerPool::new(resolve_workers(cfg.workers));
         let fused = if cfg.fused_outer {
             build_full_operator_tuned(&op, cfg.outer_tuning(StoragePrecision::Native))
         } else {
             None
         };
-        // The f16-compressed preconditioner operator was rounded through
-        // f16 above, so streaming its constants as genuine f16 is
+        // The f16-compressed preconditioner operator is already rounded
+        // through f16, so streaming its constants as genuine f16 is
         // lossless: the mixed-precision matvec stays bitwise identical
         // while the hot loop moves half the bytes.
         let storage32 = match cfg.precision {
@@ -182,13 +190,29 @@ impl DdSolver {
     }
 
     #[inline]
-    pub fn preconditioner(&self) -> &SchwarzPreconditioner<f32> {
-        &self.pre
-    }
-
-    #[inline]
     pub fn config(&self) -> &DdSolverConfig {
         &self.cfg
+    }
+
+    /// `M`: one Schwarz application on the solver's pool, whatever its size
+    /// (bitwise equal to the serial reference at every worker count).
+    fn precondition(&self, v: &SpinorField<f32>, stats: &mut SolveStats) -> SpinorField<f32> {
+        self.pre.apply_parallel(v, &self.pool, stats)
+    }
+
+    /// The outer system over `op`: the fused operator with the blocked
+    /// deterministic BLAS, or — `fused_outer` off — the scalar site loop
+    /// with plain left-to-right sums.
+    fn system<'s, T: qdd_util::complex::Real>(
+        &'s self,
+        op: &'s WilsonClover<T>,
+        fused: &'s Option<Box<dyn FullOperator<T>>>,
+    ) -> Box<dyn SystemOps<T> + 's> {
+        if self.cfg.fused_outer {
+            Box::new(FusedSystem::new(op, fused.as_deref(), &self.pool))
+        } else {
+            Box::new(LocalSystem::new(op))
+        }
     }
 
     /// Mixed-precision variant of [`Self::solve`] — the paper's Sec. VI
@@ -233,16 +257,8 @@ impl DdSolver {
         stats.trace_residual(0, 1.0);
 
         let inner_cfg = FgmresConfig { tolerance: inner_tolerance, ..self.cfg.fgmres };
-        let op32 = self.pre.op();
-        let sys32_local;
-        let sys32_fused;
-        let sys32: &dyn crate::system::SystemOps<f32> = if self.cfg.fused_outer {
-            sys32_fused = FusedSystem::new(op32, self.fused32.as_deref(), &self.pool);
-            &sys32_fused
-        } else {
-            sys32_local = LocalSystem::new(op32);
-            &sys32_local
-        };
+        let sys32 = self.system(self.pre.op(), &self.fused32);
+        let mut precond = |v: &SpinorField<f32>, st: &mut SolveStats| self.precondition(v, st);
         // Hoisted workspaces: the refinement loop reuses one residual, one
         // operator output, and one cast buffer per precision for all
         // cycles, so steady state allocates nothing.
@@ -266,24 +282,20 @@ impl DdSolver {
             stats.span_begin(qdd_trace::Phase::OuterIteration);
             // Inner f32 DD solve: A32 d = r.
             r32.cast_assign(&r);
-            let pre = &self.pre;
-            let pool = &self.pool;
-            let mut precond = |v: &SpinorField<f32>, st: &mut SolveStats| -> SpinorField<f32> {
-                if pool.workers() > 1 {
-                    pre.apply_parallel(v, pool, st)
-                } else {
-                    pre.apply(v, st)
-                }
-            };
-            let (d32, inner_out) =
-                fgmres_dr_with_workspace(sys32, &r32, &mut precond, &inner_cfg, ws32, stats);
+            let (d32, inner_out) = fgmres_dr_with_workspace(
+                sys32.as_ref(),
+                &r32,
+                &mut precond,
+                &inner_cfg,
+                ws32,
+                stats,
+            );
             outcome.iterations += inner_out.iterations;
             // Rescale the inner trajectory by the cycle-start residual so
             // the outer history has one entry per inner iteration
             // (`history.len() == iterations + 1`).
             outcome.history.extend(inner_out.history[1..].iter().map(|h| h * rel));
             d.cast_assign(&d32);
-            ws32.release(d32);
             x.axpy(qdd_util::complex::Complex::ONE, &d);
             // True f64 residual.
             self.op.apply(&mut ax, &x);
@@ -311,25 +323,22 @@ impl DdSolver {
         f: &SpinorField<f64>,
         stats: &mut SolveStats,
     ) -> (SpinorField<f64>, SolveOutcome) {
-        let pre = &self.pre;
-        let pool = &self.pool;
+        self.solve_in(f, &mut self.ws.lock().unwrap(), stats)
+    }
+
+    /// [`Self::solve`] with the outer solver's temporaries drawn from `ws`.
+    fn solve_in(
+        &self,
+        f: &SpinorField<f64>,
+        ws: &mut WorkspacePool<f64>,
+        stats: &mut SolveStats,
+    ) -> (SpinorField<f64>, SolveOutcome) {
+        let sys = self.system(&self.op, &self.fused);
         let mut precond = |r: &SpinorField<f64>, st: &mut SolveStats| -> SpinorField<f64> {
-            let r32: SpinorField<f32> = r.cast();
-            let u32 = if pool.workers() > 1 {
-                pre.apply_parallel(&r32, pool, st)
-            } else {
-                pre.apply(&r32, st)
-            };
-            u32.cast()
+            self.precondition(&r.cast(), st).cast()
         };
-        let ws = &mut *self.ws.lock().unwrap();
-        let out = if self.cfg.fused_outer {
-            let sys = FusedSystem::new(&self.op, self.fused.as_deref(), pool);
-            fgmres_dr_with_workspace(&sys, f, &mut precond, &self.cfg.fgmres, ws, stats)
-        } else {
-            let sys = LocalSystem::new(&self.op);
-            fgmres_dr_with_workspace(&sys, f, &mut precond, &self.cfg.fgmres, ws, stats)
-        };
+        let out =
+            fgmres_dr_with_workspace(sys.as_ref(), f, &mut precond, &self.cfg.fgmres, ws, stats);
         self.emit_par_counters(stats);
         out
     }
@@ -359,11 +368,13 @@ impl DdSolver {
     /// This is the multi-RHS entry point the solve service batches
     /// through: the expensive setup (clover inversion, precision
     /// conversion, domain coloring — all done in [`DdSolver::new`]) is
-    /// paid once for the whole batch, and the temporary fields for the
-    /// per-RHS true-residual verification come from `pool`, so steady
-    /// state allocates nothing. Each right-hand side runs the exact same
-    /// code path as [`Self::solve`]; a batched solve is therefore bitwise
-    /// identical to N independent solves on the same solver.
+    /// paid once for the whole batch, and every temporary field — Krylov
+    /// workspace and per-RHS true-residual verification — comes from the
+    /// caller's `pool`: steady state allocates nothing, and a solver that
+    /// only serves batches (a cached one in `qdd-serve`) holds constants,
+    /// the workspaces existing once per caller. Each right-hand side runs
+    /// the same code path as [`Self::solve`]; a batched solve is therefore
+    /// bitwise identical to N independent solves on the same solver.
     ///
     /// The verification guards against the f32/f16 preconditioner
     /// silently corrupting a solution: if the true double-precision
@@ -377,7 +388,11 @@ impl DdSolver {
     ) -> Vec<(SpinorField<f64>, SolveOutcome)> {
         let mut results = Vec::with_capacity(rhs.len());
         for f in rhs {
-            let (x, mut out) = self.solve(f, stats);
+            // One solve at a time on the solver's worker pool, as in `solve`
+            // (the same lock); only the fields come from the caller.
+            let one_at_a_time = self.ws.lock().unwrap();
+            let (x, mut out) = self.solve_in(f, pool, stats);
+            drop(one_at_a_time);
             let f_norm = f.norm();
             if f_norm > 0.0 {
                 let mut ax = pool.acquire(*f.dims());
@@ -433,13 +448,8 @@ mod tests {
                 block,
                 i_schwarz,
                 mr: MrConfig { iterations: i_domain, tolerance: 0.0, f16_vectors: false },
-                additive: false,
-                overlap: true,
                 ..Default::default()
             },
-            precision: Precision::Single,
-            workers: 1,
-            fused_outer: true,
             ..Default::default()
         }
     }
@@ -687,6 +697,40 @@ mod tests {
         // fields; no new allocation with unchanged geometry.
         assert_eq!(pool.allocations(), after_first, "workspaces were reallocated");
         assert_eq!(pool.pooled(), after_first);
+        // The Krylov workspace is the caller's too: a solver that only
+        // serves batches (a cached one in qdd-serve) holds none of its own.
+        assert_eq!(solver.outer_workspace_allocations(), 0);
+    }
+
+    #[test]
+    fn solver_workspace_pools_take_back_only_their_own_fields() {
+        // Regression: the outer solver released the preconditioner's
+        // freshly allocated z-vectors (and the mixed loop its inner
+        // solutions) into the pools, which then grew by one field per
+        // outer iteration, forever, inside a cached solver.
+        let dims = Dims::new(8, 4, 4, 4);
+        let solver =
+            DdSolver::new(operator(dims, 0.5, 0.2, 124), config(Dims::new(4, 2, 2, 2), 1, 2))
+                .unwrap();
+        let mut rng = Rng64::new(125);
+        let f = SpinorField::<f64>::random(dims, &mut rng);
+        let mut stats = SolveStats::new();
+        let pooled = |s: &DdSolver| {
+            let (ws, ws32) = (s.ws.lock().unwrap(), s.ws32.lock().unwrap());
+            assert_eq!(ws.pooled(), ws.allocations(), "a foreign field entered the f64 pool");
+            assert_eq!(ws32.pooled(), ws32.allocations(), "a foreign field entered the f32 pool");
+            (ws.pooled(), ws32.pooled())
+        };
+        let (_, out) = solver.solve(&f, &mut stats);
+        assert!(out.iterations > 8, "the solve must restart to exercise deflation");
+        let _ = solver.solve_mixed(&f, 1e-4, &mut stats);
+        let warm = pooled(&solver);
+        assert!(warm.0 > 0 && warm.1 > 0);
+        for _ in 0..3 {
+            let _ = solver.solve(&f, &mut stats);
+            let _ = solver.solve_mixed(&f, 1e-4, &mut stats);
+            assert_eq!(pooled(&solver), warm, "pool size must be flat from the second solve on");
+        }
     }
 
     #[test]

@@ -124,10 +124,13 @@ pub fn fgmres_dr<T: Real, S: SystemOps<T> + ?Sized>(
     fgmres_dr_with_workspace(sys, f, precond, cfg, &mut ws, stats)
 }
 
-/// [`fgmres_dr`] drawing every temporary field — Krylov basis vectors,
-/// residuals, operator outputs — from `ws` and returning them to it
-/// before exiting. After the first solve warms the pool, later solves of
-/// the same geometry allocate only the returned solution vector.
+/// [`fgmres_dr`] drawing every temporary field of its own — Krylov basis
+/// vectors, residuals, operator outputs — from `ws` and returning exactly
+/// those to it before exiting; the preconditioner's outputs are the
+/// preconditioner's allocations and are dropped, so the pool's size is
+/// flat from the second solve on. After the first solve warms the pool,
+/// later solves of the same geometry allocate only the returned solution
+/// vector.
 pub fn fgmres_dr_with_workspace<T: Real, S: SystemOps<T> + ?Sized>(
     sys: &S,
     f: &SpinorField<T>,
@@ -180,12 +183,6 @@ pub fn fgmres_dr_with_workspace<T: Real, S: SystemOps<T> + ?Sized>(
     'outer: loop {
         outcome.cycles += 1;
         if start_col == 0 {
-            for b in v.drain(..) {
-                ws.release(b);
-            }
-            for b in z.drain(..) {
-                ws.release(b);
-            }
             hbar = CMat::zeros(m + 1, m);
             c = vec![C64::ZERO; m + 1];
             let mut v0 = ws.acquire(dims);
@@ -285,7 +282,9 @@ pub fn fgmres_dr_with_workspace<T: Real, S: SystemOps<T> + ?Sized>(
                 let deflated = if k == 0 {
                     None
                 } else {
-                    deflated_restart(&mut v, &mut z, &mut hbar, &mut c, &c_res, m, k, ws, stats)
+                    deflated_restart(
+                        &mut v, &mut z, start_col, &mut hbar, &mut c, &c_res, m, k, ws, stats,
+                    )
                 };
                 match deflated {
                     Some(kk) => start_col = kk,
@@ -301,6 +300,7 @@ pub fn fgmres_dr_with_workspace<T: Real, S: SystemOps<T> + ?Sized>(
                         ws.release(ax);
                         beta = sys.norm_sqr(&r, stats).to_f64().sqrt();
                         stats.add_flops(Component::Other, 2.0 * l1_flops);
+                        release_cycle(&mut v, &mut z, start_col, ws);
                         start_col = 0;
                     }
                 }
@@ -320,14 +320,24 @@ pub fn fgmres_dr_with_workspace<T: Real, S: SystemOps<T> + ?Sized>(
     ws.release(ax);
     ws.release(rr);
     ws.release(r);
-    for b in v.drain(..) {
-        ws.release(b);
-    }
-    for b in z.drain(..) {
-        ws.release(b);
-    }
+    release_cycle(&mut v, &mut z, start_col, ws);
     stats.span_end(qdd_trace::Phase::Solve);
     (x, outcome)
+}
+
+/// Return a cycle's fields to the pool they came from: all of `v`, and the
+/// `deflated` leading entries of `z` (a deflated restart acquired those).
+/// The rest of `z` is preconditioner output the pool never handed out;
+/// releasing it would grow the pool by one field per outer iteration.
+fn release_cycle<T: Real>(
+    v: &mut Vec<SpinorField<T>>,
+    z: &mut Vec<SpinorField<T>>,
+    deflated: usize,
+    ws: &mut WorkspacePool<T>,
+) {
+    for b in v.drain(..).chain(z.drain(..).take(deflated)) {
+        ws.release(b);
+    }
 }
 
 /// Least squares `min || c - Hbar[0..rows, 0..cols] y ||` via Householder
@@ -383,6 +393,7 @@ fn residual_coords(hbar: &CMat, c: &[C64], y: &[C64], rows: usize) -> Vec<C64> {
 fn deflated_restart<T: Real>(
     v: &mut Vec<SpinorField<T>>,
     z: &mut Vec<SpinorField<T>>,
+    z_deflated: usize,
     hbar: &mut CMat,
     c: &mut Vec<C64>,
     c_res: &[C64],
@@ -463,12 +474,7 @@ fn deflated_restart<T: Real>(
         *nc = acc;
     }
 
-    for b in v.drain(..) {
-        ws.release(b);
-    }
-    for b in z.drain(..) {
-        ws.release(b);
-    }
+    release_cycle(v, z, z_deflated, ws);
     *v = new_v;
     *z = new_z;
     *hbar = new_h;

@@ -208,8 +208,6 @@ mod tests {
                 block: Dims::new(4, 2, 2, 2),
                 i_schwarz: 4,
                 mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-                additive: false,
-                overlap: true,
                 ..Default::default()
             },
         )

@@ -42,6 +42,6 @@ pub use gcr::{gcr, GcrConfig};
 pub use mr::{mr_solve_schur, MrConfig};
 pub use pool::{resolve_workers, SharedCells, WorkerPool, WorkspacePool};
 pub use richardson::{richardson_bicgstab, RichardsonConfig};
-pub use schwarz::{schwarz_block_update, SchwarzConfig, SchwarzPreconditioner};
+pub use schwarz::{SchwarzConfig, SchwarzPreconditioner};
 pub use stage::{ChunkQueue, StageGate};
 pub use system::{FusedSystem, LocalSystem, SystemOps};

@@ -12,10 +12,13 @@
 //! solver expects.
 
 use crate::mr::{mr_solve_schur, MrConfig};
-use crate::pool::{blocked_ranges, SharedSpinors, SpinBarrier, WorkerPool};
+use crate::pool::{
+    blocked_ranges, LeaderOnly, SharedCells, SharedSpinors, SpinBarrier, WorkerPool,
+};
 use qdd_dirac::block::{DomainFields, SchurOperator};
 use qdd_dirac::wilson::WilsonClover;
 use qdd_field::fields::SpinorField;
+use qdd_field::halo::HaloData;
 use qdd_field::spinor::Spinor;
 use qdd_lattice::{Dims, DomainColor, DomainGrid, Parity};
 use qdd_util::complex::Real;
@@ -115,13 +118,8 @@ pub struct SendSlot {
 /// The executed Fig. 4 schedule for one color half-sweep: compute stages
 /// (each a barrier epoch of domain solves) and the send wave posted at the
 /// *start* of the following stage, so packing and sending interleave with
-/// the next stage's domain solves.
-///
-/// Safety of the staging (the bitwise-identity argument): face sites
-/// belong exclusively to boundary domains, all of which are solved in the
-/// boundary stages; interior stages write only non-face sites; and
-/// same-color domains are never adjacent, so reordering domains within a
-/// half-sweep cannot change any update.
+/// the next stage's domain solves. Why staging cannot change a bit is
+/// argued once, at [`Sweep::run`].
 #[derive(Clone, Debug)]
 pub struct ColorSchedule {
     /// Domain indices per stage; their disjoint union is the color's
@@ -130,13 +128,6 @@ pub struct ColorSchedule {
     /// `sends_after[i]` is posted once stage `i` has completed (during
     /// stage `i + 1` when one exists). Same length as `stages`.
     pub sends_after: Vec<Vec<SendSlot>>,
-}
-
-impl ColorSchedule {
-    /// Total domains across all stages.
-    pub fn num_domains(&self) -> usize {
-        self.stages.iter().map(|s| s.len()).sum()
-    }
 }
 
 /// Plan one color's Fig. 4b schedule over the local domain grid.
@@ -220,11 +211,6 @@ impl<T: Real> SchwarzPreconditioner<T> {
     }
 
     #[inline]
-    pub fn grid(&self) -> &DomainGrid {
-        &self.grid
-    }
-
-    #[inline]
     pub fn config(&self) -> &SchwarzConfig {
         &self.cfg
     }
@@ -287,19 +273,14 @@ impl<T: Real> SchwarzPreconditioner<T> {
         u
     }
 
-    /// Apply the preconditioner with the paper's threading model: the
-    /// pool's workers process same-color domains concurrently, separated
-    /// by barriers between half-sweeps. The pool is persistent — one job
-    /// is dispatched per application instead of respawning a thread team
-    /// per sweep.
+    /// Apply the preconditioner on `pool`: the one [`Sweep`] engine with
+    /// the unit boundary — nothing split, so each color is one stage and
+    /// nothing is ever sent. Bit-identical to [`Self::apply`] for every
+    /// worker count (see [`Sweep::run`]); one pool job per application.
     ///
-    /// Produces bit-identical results to [`Self::apply`] for the
-    /// multiplicative method (each site receives exactly one update per
-    /// half-sweep, computed from data no concurrent worker writes). The
-    /// additive method has no race-free parallel schedule here (every
-    /// domain update reads the same input state but writes overlap-free
-    /// only under the two-coloring), so it falls back to the serial path
-    /// rather than panicking.
+    /// The additive method has no race-free parallel schedule (all domains
+    /// update from the same frozen iterate), so it runs the serial
+    /// reference rather than panicking.
     pub fn apply_parallel(
         &self,
         f: &SpinorField<T>,
@@ -309,77 +290,14 @@ impl<T: Real> SchwarzPreconditioner<T> {
         if self.cfg.additive {
             return self.apply(f, stats);
         }
-        let workers = pool.workers();
-        // The data-race-freedom argument of `SharedSpinors` requires that
-        // no two adjacent domains share a color. On a periodic domain grid
-        // that holds iff every extent is even or 1 (an odd extent > 1 makes
-        // the checkerboard wrap onto itself).
-        for d in qdd_lattice::Dir::ALL {
-            let e = self.grid.grid()[d];
-            assert!(
-                e.is_multiple_of(2) || e == 1,
-                "domain grid extent {e} in {d} is odd: two-coloring breaks and \
-                 parallel half-sweeps would race; use the serial apply() or an \
-                 even number of domains per direction"
-            );
-        }
-        assert_eq!(f.dims(), self.op.dims());
-        let mut u = SpinorField::zeros(*f.dims());
-        let shared = SharedSpinors::new(u.as_mut_slice());
-        let barrier = SpinBarrier::new(workers);
-        let worker_flops: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        // Workers record into per-thread lanes (tid = worker + 1; lane 0 is
-        // the rank's main thread) and flush once at the end of the sweep.
-        // Worker 0 runs on the calling thread but still records on lane 1:
-        // the main lane stays free of preconditioner-internal events.
-        let sink = stats.sink().clone();
-
-        pool.run(&|w| {
-            let sense = Cell::new(false);
-            let mut rec = sink.thread(w as u32 + 1);
-            rec.begin(qdd_trace::Phase::PoolJob);
-            let mut flops = 0.0;
-            for _ in 0..self.cfg.i_schwarz {
-                for color in DomainColor::ALL {
-                    rec.begin(qdd_trace::Phase::ColorSweep);
-                    let list = &self.colors[color as usize];
-                    let range = blocked_ranges(list.len(), workers)[w].clone();
-                    for &dom_idx in &list[range] {
-                        rec.begin(qdd_trace::Phase::DomainSolve);
-                        // SAFETY: reads touch the domain (owned by
-                        // this worker in this epoch) and its
-                        // opposite-color neighbors (not written in
-                        // this epoch); writes touch only the owned
-                        // domain. See `SharedSpinors` contract.
-                        let fetch = |i: usize| unsafe { shared.read(i) };
-                        let (schur, z_e, z_o, fl) = self.block_update(dom_idx, f, fetch);
-                        schur.scatter_add_cb_with(
-                            |g, v| unsafe { shared.add(g, v) },
-                            &z_e,
-                            Parity::Even,
-                        );
-                        schur.scatter_add_cb_with(
-                            |g, v| unsafe { shared.add(g, v) },
-                            &z_o,
-                            Parity::Odd,
-                        );
-                        flops += fl;
-                        rec.end(qdd_trace::Phase::DomainSolve);
-                    }
-                    rec.end(qdd_trace::Phase::ColorSweep);
-                    barrier.wait(&sense);
-                }
-            }
-            rec.end(qdd_trace::Phase::PoolJob);
-            rec.flush();
-            worker_flops[w].store(flops.to_bits(), Ordering::Relaxed);
-        });
-
-        stats.add_flops(
-            Component::PreconditionerM,
-            worker_flops.iter().map(|b| f64::from_bits(b.load(Ordering::Relaxed))).sum(),
-        );
-        u
+        let sweep = Sweep {
+            op: &self.op,
+            fields: &self.fields,
+            grid: &self.grid,
+            cfg: &self.cfg,
+            colors: &self.colors,
+        };
+        sweep.run(&Unsplit, pool, f, stats)
     }
 
     /// Nominal flops of one full preconditioner application (used by the
@@ -395,12 +313,215 @@ impl<T: Real> SchwarzPreconditioner<T> {
     }
 }
 
+/// The two-coloring precondition, stated once: a *periodic* domain-grid
+/// extent must be even or 1, or the checkerboard wraps onto itself and two
+/// adjacent domains share a color. The sweep checks the extents that are
+/// periodic on its own grid; a distributed preconditioner checks the
+/// rank-global extents, which close the torus across ranks.
+pub fn assert_two_colorable(dir: qdd_lattice::Dir, extent: usize) {
+    assert!(
+        extent.is_multiple_of(2) || extent == 1,
+        "domain grid extent {extent} in {dir} is odd: two-coloring breaks (adjacent domains \
+         share a color across the periodic wrap) and concurrent half-sweeps would race; use an \
+         even number of domains per direction, or one worker"
+    );
+}
+
+/// The rank boundary of a sweep, as seen by the sweep's leader (worker 0,
+/// which runs on the calling thread): the only place communication enters.
+/// Every method is called by the leader alone, so an implementation may
+/// hold `!Sync` state (a per-rank comm context).
+pub trait RankBoundary<T: Real> {
+    /// Directions in which a neighbor rank (not our own periodic wrap)
+    /// sits across the face; those hops read the halo.
+    fn split(&self) -> [bool; 4];
+
+    /// Merge every face part the peers sent during the previous half-sweep
+    /// into `halo`. Called before each half-sweep, while no worker reads
+    /// the halo.
+    fn drain(&self, halo: &mut HaloData<T>);
+
+    /// Start one exchange round (one half-sweep whose boundary a later
+    /// half-sweep reads): take the round's hiccup decision, before its
+    /// first wave, so every wave of the round skips together.
+    fn begin_round(&self);
+
+    /// Post one send wave of the just-updated `color`. `u` reads the
+    /// iterate; the wave's face sites are final (their owning domains
+    /// finished behind a barrier) though other workers may already be
+    /// computing the next stage.
+    fn post_wave<F: Fn(usize) -> Spinor<T>>(&self, wave: &[SendSlot], color: DomainColor, u: &F);
+}
+
+/// The unit boundary: one rank holds the whole lattice, nothing is split,
+/// nothing moves.
+struct Unsplit;
+
+impl<T: Real> RankBoundary<T> for Unsplit {
+    fn split(&self) -> [bool; 4] {
+        [false; 4]
+    }
+
+    fn drain(&self, _: &mut HaloData<T>) {}
+
+    fn begin_round(&self) {}
+
+    fn post_wave<F: Fn(usize) -> Spinor<T>>(&self, wave: &[SendSlot], _: DomainColor, _: &F) {
+        debug_assert!(wave.is_empty(), "a send planned with nothing split");
+    }
+}
+
+/// What one multiplicative sweep works on: the (rank-local) operator, its
+/// per-domain constants, the domain grid, and each color's domain list —
+/// colored *globally* when the lattice continues on other ranks.
+pub struct Sweep<'a, T: Real> {
+    pub op: &'a WilsonClover<T>,
+    pub fields: &'a DomainFields<T>,
+    pub grid: &'a DomainGrid,
+    pub cfg: &'a SchwarzConfig,
+    pub colors: &'a [Vec<usize>; 2],
+}
+
+impl<T: Real> Sweep<'_, T> {
+    /// The paper's threading model and its Fig. 4 schedule, once: `u ~=
+    /// A^-1 f` by `2 ISchwarz` half-sweeps, each executed as the stages of
+    /// [`plan_color_schedule`], the pool's workers sharing every stage's
+    /// domains with a barrier after each stage. The leader drains the
+    /// boundary's deferred receives before a half-sweep and posts each
+    /// finished stage's send wave while the next stage computes. With
+    /// nothing split that is one stage per color and no send: the
+    /// single-rank sweep is this one with an empty schedule.
+    ///
+    /// Bitwise identical to the serial [`SchwarzPreconditioner::apply`]
+    /// for every worker count, rank geometry and overlap setting. Each
+    /// site gets exactly one update per half-sweep, computed from its own
+    /// domain and opposite-color neighbors, which nobody writes in that
+    /// half-sweep. Same-color domains are never adjacent, so their order
+    /// (stages, workers) changes no update. Face sites belong to boundary
+    /// stages, finished before their face is packed, and a color-`C'`
+    /// half-sweep reads only color-`C` halo entries: the freshly merged
+    /// ones. One worker cannot race, so there the two-coloring
+    /// precondition is waived (the domain order is then the reference's).
+    pub fn run<B: RankBoundary<T>>(
+        &self,
+        boundary: &B,
+        pool: &WorkerPool,
+        f: &SpinorField<T>,
+        stats: &mut SolveStats,
+    ) -> SpinorField<T> {
+        let dims = *self.op.dims();
+        assert_eq!(*f.dims(), dims);
+        let workers = pool.workers();
+        let split = boundary.split();
+        if workers > 1 {
+            for d in qdd_lattice::Dir::ALL.into_iter().filter(|d| !split[d.index()]) {
+                assert_two_colorable(d, self.grid.grid()[d]);
+            }
+        }
+        let schedules = DomainColor::ALL.map(|c| {
+            plan_color_schedule(self.grid, split, &self.colors[c as usize], self.cfg.overlap)
+        });
+        let rounds = 2 * self.cfg.i_schwarz;
+
+        let mut u = SpinorField::<T>::zeros(dims);
+        let mut halo_u = HaloData::<T>::zeros_split(dims, split);
+        let shared = SharedSpinors::new(u.as_mut_slice());
+        // The halo is epoch-shared: the leader writes it while everyone
+        // else waits at the round barrier; all workers read it during the
+        // compute stages.
+        let halo_cell = SharedCells::new(std::slice::from_mut(&mut halo_u));
+        let barrier = SpinBarrier::new(workers);
+        let worker_flops: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+        // Workers record into per-thread lanes (tid = worker + 1; lane 0 is
+        // the rank's main thread and stays free of preconditioner-internal
+        // events; the leader's lane carries the sweep spans) and flush once
+        // at the end of the job.
+        let sink = stats.sink().clone();
+        let leader = LeaderOnly::new(boundary);
+
+        pool.run(&|w| {
+            let sense = Cell::new(false);
+            let mut rec = sink.thread(w as u32 + 1);
+            rec.begin(qdd_trace::Phase::PoolJob);
+            // SAFETY (LeaderOnly): worker 0 runs on the thread that built
+            // the wrapper — the one that owns `boundary`.
+            let boundary = (w == 0).then(|| unsafe { leader.get() });
+            // SAFETY (SharedSpinors): a domain solve reads its own domain
+            // (owned by this worker in this epoch) and opposite-color
+            // neighbors (not written in this epoch) and writes only its
+            // own domain; a wave reads face sites of completed stages.
+            let fetch = |i: usize| unsafe { shared.read(i) };
+            let store = |g: usize, v: Spinor<T>| unsafe { shared.add(g, v) };
+            let mut flops = 0.0;
+            for round in 0..rounds {
+                let color = DomainColor::ALL[round % 2];
+                let sched = &schedules[color as usize];
+                // The last half-sweep's boundary is read by nobody.
+                let exchange = boundary.filter(|_| round + 1 < rounds);
+                if let Some(b) = boundary {
+                    if round % 2 == 0 {
+                        rec.begin(qdd_trace::Phase::SchwarzSweep);
+                    }
+                    // SAFETY (SharedCells): no reader before the barrier.
+                    b.drain(&mut unsafe { halo_cell.slice_mut(0..1) }[0]);
+                }
+                barrier.wait(&sense);
+                rec.begin(qdd_trace::Phase::ColorSweep);
+                if let Some(b) = exchange {
+                    b.begin_round();
+                }
+                // SAFETY (SharedCells): no halo writer until every worker
+                // has passed this round's last stage barrier.
+                let halo = unsafe { halo_cell.get(0) };
+                for (si, stage) in sched.stages.iter().enumerate() {
+                    if let Some(b) = exchange.filter(|_| si > 0) {
+                        // The previous stage's faces are final: pack and
+                        // send them while this stage computes.
+                        b.post_wave(&sched.sends_after[si - 1], color, &fetch);
+                    }
+                    let range = blocked_ranges(stage.len(), workers)[w].clone();
+                    for &dom_idx in &stage[range] {
+                        rec.begin(qdd_trace::Phase::DomainSolve);
+                        let schur =
+                            SchurOperator::new(self.op, self.fields, self.grid.domain(dom_idx));
+                        let au = |g: usize| {
+                            self.op.apply_site_with_halo_fetch_split(g, fetch, halo, split)
+                        };
+                        let (z_e, z_o, fl) = schwarz_block_update(&schur, &self.cfg.mr, f, au);
+                        schur.scatter_add_cb_with(store, &z_e, Parity::Even);
+                        schur.scatter_add_cb_with(store, &z_o, Parity::Odd);
+                        flops += fl;
+                        rec.end(qdd_trace::Phase::DomainSolve);
+                    }
+                    barrier.wait(&sense);
+                }
+                rec.end(qdd_trace::Phase::ColorSweep);
+                if let Some(b) = exchange {
+                    b.post_wave(sched.sends_after.last().map_or(&[][..], |v| v), color, &fetch);
+                }
+                if boundary.is_some() && round % 2 == 1 {
+                    rec.end(qdd_trace::Phase::SchwarzSweep);
+                }
+            }
+            rec.end(qdd_trace::Phase::PoolJob);
+            rec.flush();
+            worker_flops[w].store(flops.to_bits(), Ordering::Relaxed);
+        });
+
+        stats.add_flops(
+            Component::PreconditionerM,
+            worker_flops.iter().map(|b| f64::from_bits(b.load(Ordering::Relaxed))).sum(),
+        );
+        u
+    }
+}
+
 /// One Schwarz block update: the approximate solve of `D z = (f - A u)|_b`
 /// for a single domain. `au_site` evaluates `(A u)(site)` — the serial
-/// path reads `u` directly, the parallel path through a shared pointer,
-/// the distributed path through local data plus the rank halo. Returns
-/// `(z_even, z_odd, flops)` in checkerboard-index order.
-pub fn schwarz_block_update<T: Real>(
+/// reference reads `u` directly, the sweep engine through a shared pointer
+/// plus the rank halo. Returns `(z_even, z_odd, flops)` in
+/// checkerboard-index order.
+fn schwarz_block_update<T: Real>(
     schur: &SchurOperator<'_, T>,
     mr_cfg: &MrConfig,
     f: &SpinorField<T>,
@@ -443,20 +564,6 @@ pub fn schwarz_block_update<T: Real>(
     (z_e, z_o, flops)
 }
 
-/// Relative residual `||f - A u|| / ||f||` (diagnostic used by tests and
-/// benches).
-pub fn preconditioner_quality<T: Real>(
-    op: &WilsonClover<T>,
-    f: &SpinorField<T>,
-    u: &SpinorField<T>,
-) -> f64 {
-    let mut au = SpinorField::zeros(*f.dims());
-    op.apply(&mut au, u);
-    let mut r = f.clone();
-    r.sub_assign(&au);
-    (r.norm_sqr().to_f64() / f.norm_sqr().to_f64()).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,13 +581,24 @@ mod tests {
         WilsonClover::new(g, c, mass, BoundaryPhases::antiperiodic_t())
     }
 
+    /// Relative residual `||f - A u|| / ||f||`.
+    fn preconditioner_quality<T: Real>(
+        op: &WilsonClover<T>,
+        f: &SpinorField<T>,
+        u: &SpinorField<T>,
+    ) -> f64 {
+        let mut au = SpinorField::zeros(*f.dims());
+        op.apply(&mut au, u);
+        let mut r = f.clone();
+        r.sub_assign(&au);
+        (r.norm_sqr().to_f64() / f.norm_sqr().to_f64()).sqrt()
+    }
+
     fn config(i_schwarz: usize, i_domain: usize, block: Dims) -> SchwarzConfig {
         SchwarzConfig {
             block,
             i_schwarz,
             mr: MrConfig { iterations: i_domain, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         }
     }

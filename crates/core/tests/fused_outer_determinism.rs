@@ -33,13 +33,9 @@ fn config(workers: usize) -> DdSolverConfig {
             block: Dims::new(4, 4, 2, 2),
             i_schwarz: 4,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
-        precision: Precision::Single,
         workers,
-        fused_outer: true,
         ..Default::default()
     }
 }

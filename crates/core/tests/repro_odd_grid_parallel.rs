@@ -26,8 +26,6 @@ fn odd_grid_preconditioner() -> (SchwarzPreconditioner<f64>, SpinorField<f64>) {
         block,
         i_schwarz: 3,
         mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-        additive: false,
-        overlap: true,
         ..Default::default()
     };
     let pre = SchwarzPreconditioner::new(op, cfg).unwrap();

@@ -75,8 +75,16 @@ pub struct HaloData<T: Real> {
 
 impl<T: Real> HaloData<T> {
     pub fn zeros(dims: Dims) -> Self {
+        Self::zeros_split(dims, [true; 4])
+    }
+
+    /// A halo with faces only where a neighbor rank exists: directions not
+    /// in `split` get empty buffers, so a stray read or merge there is an
+    /// out-of-bounds panic instead of silently used zeros. With nothing
+    /// split (a single rank) this allocates nothing.
+    pub fn zeros_split(dims: Dims, split: [bool; 4]) -> Self {
         let faces = std::array::from_fn(|d| {
-            let n = face_volume(&dims, Dir::from_index(d));
+            let n = if split[d] { face_volume(&dims, Dir::from_index(d)) } else { 0 };
             [FaceBuffer::zeros(n), FaceBuffer::zeros(n)]
         });
         Self { dims, faces }

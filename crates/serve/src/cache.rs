@@ -42,6 +42,12 @@ impl SetupCache {
     /// Look up `key`, building (and inserting) the solver on a miss.
     /// `build` returning `None` (singular clover block, unknown config)
     /// is passed through and nothing is inserted.
+    ///
+    /// A full cache gives up its least recently used solver *before*
+    /// `build` runs, so at most `capacity` prepared solvers are resident at
+    /// any time — the service's memory high-water mark does not depend on
+    /// whether the request sequence happened to overflow the cache. The
+    /// price: a build that fails on a full cache still cost that entry.
     pub fn get_or_build(
         &mut self,
         key: u64,
@@ -55,14 +61,13 @@ impl SetupCache {
             return (Some(self.entries.last().unwrap().1.clone()), CacheOutcome::Hit);
         }
         self.misses += 1;
-        let solver = match build() {
-            Some(s) => Arc::new(s),
-            None => return (None, CacheOutcome::Miss),
-        };
         if self.entries.len() >= self.capacity {
             self.entries.remove(0);
             self.evictions += 1;
         }
+        let Some(solver) = build().map(Arc::new) else {
+            return (None, CacheOutcome::Miss);
+        };
         self.entries.push((key, solver.clone()));
         (Some(solver), CacheOutcome::Miss)
     }
@@ -189,13 +194,9 @@ mod tests {
                 block: Dims::new(2, 2, 2, 2),
                 i_schwarz: 2,
                 mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-                additive: false,
-                overlap: true,
                 ..Default::default()
             },
             precision: qdd_core::Precision::Single,
-            workers: 1,
-            fused_outer: true,
             ..Default::default()
         };
         DdSolver::new(op, cfg).unwrap()
@@ -220,6 +221,21 @@ mod tests {
         assert_eq!(o, CacheOutcome::Miss);
         assert_eq!((cache.hits(), cache.misses()), (2, 4));
         assert!((cache.hit_rate() - 2.0 / 6.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn full_cache_evicts_before_it_builds() {
+        // At most `capacity` solvers are resident: the LRU entry is gone by
+        // the time its replacement is built.
+        let mut cache = SetupCache::new(1);
+        let (first, _) = cache.get_or_build(1, || Some(solver(1)));
+        let first = Arc::downgrade(&first.unwrap());
+        let (second, _) = cache.get_or_build(2, || {
+            assert!(first.upgrade().is_none(), "the evicted solver outlived the next build");
+            Some(solver(2))
+        });
+        assert!(second.is_some());
+        assert_eq!((cache.len(), cache.evictions()), (1, 1));
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!   independent solves.
 //! * **Setup caching** — prepared solvers (clover inversion, precision
 //!   conversion, domain coloring) are kept in an LRU [`SetupCache`],
-//!   with hit/miss/eviction counters exported through `qdd-trace`.
+//!   with hit/miss/eviction counters exported through `qdd-trace`. At
+//!   most `cache_capacity` of them are resident (eviction precedes the
+//!   build) and all are built on one setup thread, so the footprint does
+//!   not depend on which worker took a miss.
 //! * **Autotuning** — with `ServiceConfig::autotune` on, the
 //!   `qdd-autotune` model search picks the Schwarz operating point
 //!   (block geometry, `ISchwarz`, `Idomain`) for each request shape on

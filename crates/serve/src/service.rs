@@ -4,9 +4,9 @@
 //! bounded queue (or sheds it with `QueueFull`); a worker pops it and
 //! coalesces every queued request sharing its setup key into one
 //! multi-RHS batch; the batch resolves its prepared solver through the
-//! LRU setup cache (building it under a `ServeSetup` span on a miss) and
-//! runs through `DdSolver::solve_batch` with a worker-local workspace
-//! pool. Per request, the degradation ladder is:
+//! LRU setup cache (built under a `ServeSetup` span on a miss, on the
+//! service's one setup thread) and runs through `DdSolver::solve_batch`
+//! with a worker-local workspace pool. Per request, the degradation ladder is:
 //!
 //! 1. primary FGMRES-DR + Schwarz (status `Converged`),
 //! 2. plain BiCGstab fallback if the primary misses the target and the
@@ -35,7 +35,7 @@ use crate::cache::{CacheOutcome, SetupCache, TuneCache};
 use crate::latency::LatencyRecorder;
 use crate::queue::BoundedQueue;
 use crate::request::{
-    setup_key, ConfigSource, DegradeReason, ServeStatus, SolveRequest, SolveResponse,
+    setup_key, ConfigKey, ConfigSource, DegradeReason, ServeStatus, SolveRequest, SolveResponse,
 };
 use crate::telemetry::{join_against_model, RequestTimeline};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -249,6 +249,29 @@ pub struct ServiceReport {
     pub tune_misses: u64,
 }
 
+/// One prepared-solver build, handed to the service's setup thread.
+///
+/// Every `DdSolver` of a service is built there, not on the worker that
+/// took the miss: the allocator keeps an arena per thread, and what an
+/// eviction frees only serves later allocations from the arena it came
+/// from. One building thread means a replacement solver always lands in
+/// the memory the evicted one left; on the workers that would depend on
+/// which of them wins each miss, and so would the service's footprint.
+struct SetupJob {
+    config: ConfigKey,
+    solver: DdSolverConfig,
+    reply: Sender<Option<DdSolver>>,
+}
+
+/// The setup thread: builds until every worker has hung up.
+fn setup_loop(source: &dyn ConfigSource, jobs: Receiver<SetupJob>) {
+    while let Ok(job) = jobs.recv() {
+        let solver = source.materialize(job.config).and_then(|op| DdSolver::new(op, job.solver));
+        // A worker that stopped waiting has no use for the solver.
+        let _ = job.reply.send(solver);
+    }
+}
+
 /// What one worker hands back at shutdown (its metrics shard lives in
 /// the service's [`ShardedMetrics`] and is folded separately).
 struct WorkerOutput {
@@ -303,14 +326,17 @@ pub fn serve_with_flight<R: Send>(
     let mut shards = ShardedMetrics::new(nworkers);
     let mut outputs: Vec<WorkerOutput> = Vec::new();
     let mut result: Option<R> = None;
+    let (setups, setup_jobs) = unbounded::<SetupJob>();
     crossbeam::scope(|s| {
         let queue = &queue;
         let cache = &cache;
         let tunes = &tunes;
+        s.spawn(move |_| setup_loop(source, setup_jobs));
         let mut workers = Vec::new();
         for (wid, shard) in shards.shards_mut().iter_mut().enumerate() {
+            let setups = setups.clone();
             workers.push(s.spawn(move |_| {
-                worker_loop(wid, cfg, source, queue, cache, tunes, sink, flight, shard)
+                worker_loop(wid, cfg, &setups, queue, cache, tunes, sink, flight, shard)
             }));
         }
         result = Some(client(&handle));
@@ -318,6 +344,8 @@ pub fn serve_with_flight<R: Send>(
         for w in workers {
             outputs.push(w.join().expect("serve worker panicked"));
         }
+        // The workers' senders went with them; this one ends the setup thread.
+        drop(setups);
     })
     .expect("serve scope failed");
 
@@ -385,7 +413,7 @@ pub fn serve_with_flight<R: Send>(
 fn worker_loop(
     wid: usize,
     cfg: &ServiceConfig,
-    source: &dyn ConfigSource,
+    setups: &Sender<SetupJob>,
     queue: &BoundedQueue<Pending>,
     cache: &Mutex<SetupCache>,
     tunes: &Mutex<TuneCache>,
@@ -426,7 +454,7 @@ fn worker_loop(
 
         lane.begin(Phase::ServeBatch);
         run_batch(
-            batch, cfg, source, cache, tunes, sink, &mut lane, flight, &flane, &mut pool, metrics,
+            batch, cfg, setups, cache, tunes, sink, &mut lane, flight, &flane, &mut pool, metrics,
             &mut out,
         );
         lane.end(Phase::ServeBatch);
@@ -503,7 +531,7 @@ fn respond(
 fn run_batch(
     batch: Vec<Pending>,
     cfg: &ServiceConfig,
-    source: &dyn ConfigSource,
+    setups: &Sender<SetupJob>,
     cache: &Mutex<SetupCache>,
     tunes: &Mutex<TuneCache>,
     sink: &TraceSink,
@@ -544,8 +572,8 @@ fn run_batch(
     }
 
     // Resolve the prepared solver through the setup cache. Misses build
-    // under a ServeSetup span; the cache lock serializes duplicate
-    // builds of the same key across workers.
+    // (on the setup thread) under this worker's ServeSetup span; the cache
+    // lock serializes duplicate builds of the same key across workers.
     let mut solver_cfg = cfg.solver;
     solver_cfg.fgmres.tolerance = tolerance;
     solver_cfg.precision = precision;
@@ -593,7 +621,9 @@ fn run_batch(
         guard.get_or_build(key, || {
             lane.begin(Phase::ServeSetup);
             let t0 = Instant::now();
-            let solver = source.materialize(config).and_then(|op| DdSolver::new(op, solver_cfg));
+            let (reply, built) = unbounded();
+            let job = SetupJob { config, solver: solver_cfg, reply };
+            let solver = setups.send(job).ok().and_then(|()| built.recv().ok()).flatten();
             lane.end(Phase::ServeSetup);
             metrics.observe("serve.setup_ms", t0.elapsed().as_secs_f64() * 1e3);
             solver
@@ -719,7 +749,7 @@ fn run_batch(
 mod tests {
     use super::*;
     use crate::request::{ConfigKey, SyntheticSource};
-    use qdd_core::{FgmresConfig, MrConfig, Precision, SchwarzConfig};
+    use qdd_core::{FgmresConfig, MrConfig, SchwarzConfig};
     use qdd_lattice::Dims;
     use qdd_util::rng::Rng64;
     use std::time::Duration;
@@ -731,13 +761,8 @@ mod tests {
                 block: Dims::new(4, 4, 4, 4),
                 i_schwarz: 4,
                 mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-                additive: false,
-                overlap: true,
                 ..Default::default()
             },
-            precision: Precision::Single,
-            workers: 1,
-            fused_outer: true,
             ..Default::default()
         }
     }

@@ -47,7 +47,6 @@ use crate::shard::{shard_worker_loop, ShardJob, ShardOutcome, ShardRuntime, Shar
 use crate::telemetry::RequestTimeline;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use qdd_comm::{DistDdConfig, RetryPolicy};
-use qdd_core::{FgmresConfig, Precision, SchwarzConfig};
 use qdd_faults::ShardFaults;
 use qdd_field::fields::SpinorField;
 use qdd_lattice::Dims;
@@ -90,11 +89,7 @@ impl Default for ShardPoolConfig {
         Self {
             shards: 2,
             rank_dims: Dims::new(1, 1, 1, 2),
-            solver: DistDdConfig {
-                fgmres: FgmresConfig::default(),
-                schwarz: SchwarzConfig::default(),
-                precision: Precision::Single,
-            },
+            solver: DistDdConfig::default(),
             max_restarts: 2,
             retry_budget: 2,
             breaker: BreakerConfig::default(),
@@ -803,7 +798,7 @@ impl Supervisor {
 mod tests {
     use super::*;
     use crate::request::{ConfigKey, SyntheticSource};
-    use qdd_core::MrConfig;
+    use qdd_core::{FgmresConfig, MrConfig, SchwarzConfig};
     use qdd_faults::{FaultRates, ShardFaults};
     use qdd_util::rng::Rng64;
     use std::time::Duration;
@@ -827,11 +822,9 @@ mod tests {
                     block: Dims::new(4, 4, 4, 4),
                     i_schwarz: 4,
                     mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-                    additive: false,
-                    overlap: true,
                     ..Default::default()
                 },
-                precision: Precision::Single,
+                ..Default::default()
             },
             max_restarts: 1,
             retry_budget: 2,

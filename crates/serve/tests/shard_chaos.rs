@@ -8,7 +8,7 @@ use qdd_comm::{
     dd_solve_resilient, gather_field, run_spmd, scatter_clover, scatter_field, scatter_gauge,
     CommWorld, DistDdConfig,
 };
-use qdd_core::{FgmresConfig, MrConfig, Precision, SchwarzConfig};
+use qdd_core::{FgmresConfig, MrConfig, SchwarzConfig};
 use qdd_faults::{FaultRates, ShardFaults};
 use qdd_field::fields::SpinorField;
 use qdd_lattice::{Dims, RankGrid};
@@ -41,11 +41,9 @@ fn pool_cfg(shards: usize) -> ShardPoolConfig {
                 block: Dims::new(4, 4, 4, 4),
                 i_schwarz: 4,
                 mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-                additive: false,
-                overlap: true,
                 ..Default::default()
             },
-            precision: Precision::Single,
+            ..Default::default()
         },
         max_restarts: 1,
         retry_budget: 2,

@@ -48,13 +48,8 @@ fn main() {
             block: Dims::new(4, 2, 2, 2),
             i_schwarz: 5,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
-        precision: Precision::Single,
-        workers: 1,
-        fused_outer: true,
         ..Default::default()
     };
     let basis = GammaBasis::degrand_rossi();

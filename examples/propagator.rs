@@ -29,13 +29,9 @@ fn main() {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 5,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
-        precision: Precision::Single,
         workers: 4,
-        fused_outer: true,
         ..Default::default()
     };
     let solver = DdSolver::new(op, config).expect("solver setup");

@@ -27,13 +27,9 @@ fn main() {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 6,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
-        precision: Precision::Single,
-        workers: 4,        // Schwarz sweeps on 4 worker threads (paper: 60 cores)
-        fused_outer: true, // outer matvec on the full-lattice SIMD kernel
+        workers: 4,
         ..Default::default()
     };
     let solver = DdSolver::new(op, config).expect("clover blocks invertible");

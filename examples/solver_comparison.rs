@@ -49,13 +49,8 @@ fn main() {
                 block: Dims::new(4, 4, 4, 4),
                 i_schwarz: 6,
                 mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-                additive: false,
-                overlap: true,
                 ..Default::default()
             },
-            precision: Precision::Single,
-            workers: 1,
-            fused_outer: true,
             ..Default::default()
         };
         let solver = DdSolver::new(op(dims, 90), cfg).unwrap();
@@ -83,8 +78,6 @@ fn main() {
                 block: Dims::new(4, 4, 4, 4),
                 i_schwarz: 6,
                 mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-                additive: false,
-                overlap: true,
                 ..Default::default()
             },
         )

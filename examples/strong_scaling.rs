@@ -30,11 +30,9 @@ fn main() {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 5,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
-        precision: Precision::Single,
+        ..Default::default()
     };
 
     println!(

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Full pre-merge verification: release build, tests, formatting, lints.
+# Full pre-merge verification: release build, every workspace test, the
+# benchmark's API surface, smoke benches + gate, formatting, lints.
 # Run from the repository root: sh scripts/verify.sh
 set -eu
 
@@ -8,16 +9,22 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+# Every test in the workspace gates every merge: the root package alone
+# (Tier-1) runs under a tenth of them; the crates' unit, property and
+# identity suites are the rest. The test profile is optimized, so the
+# worker-count determinism and fused-operator property sweeps run here in
+# seconds.
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
-# The worker-count determinism guarantee is the contract qdd-serve's
-# bitwise-identical-answers invariant rests on; run its tests explicitly
-# (release: the fused/solve sweeps are slow unoptimized) so a failure is
-# called out by name even though the suite above also covers them.
-echo "==> determinism + fused-operator property tests (release)"
-cargo test --release -q -p qdd-core --test fused_outer_determinism
-cargo test --release -q -p qdd-dirac --test fused_full_property
+# The benchmark compiles against the workspace's public API from outside
+# it (perf/ is its own package) and, traced, recomposes every solve from
+# the layers' public functions and fails unless that is bitwise equal to
+# the entry point: a signature drift or a broken recomposition fails here,
+# not in the next benchmark run.
+echo "==> perf smoke (end-to-end, then traced recomposition)"
+bash perf/run.sh --workload all --smoke
+bash perf/run.sh --workload all --smoke --trace 1
 
 # Chaos smoke: seeded fault injection must recover (retries > 0, converged)
 # and the zero-rate run must be bitwise identical to a fault-free world —

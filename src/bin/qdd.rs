@@ -635,7 +635,6 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
                 tolerance: 0.0,
                 f16_vectors: false,
             },
-            additive: false,
             // Governs the outer matvec's staged schedule too, so chaos
             // runs exercise the same drain paths the solve CLI uses.
             overlap: !args.has("no-overlap"),

@@ -45,11 +45,9 @@ fn problem(dims: Dims, ranks: Dims, tolerance: f64) -> Problem {
                 block: Dims::new(4, 4, 4, 4),
                 i_schwarz: 4,
                 mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-                additive: false,
-                overlap: true,
                 ..Default::default()
             },
-            precision: Precision::Single,
+            ..Default::default()
         },
         mass: 0.1,
     }

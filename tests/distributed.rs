@@ -26,11 +26,9 @@ fn dist_cfg() -> DistDdConfig {
             block: Dims::new(4, 4, 4, 4),
             i_schwarz: 4,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
-        precision: Precision::Single,
+        ..Default::default()
     }
 }
 
@@ -46,9 +44,6 @@ fn eight_rank_dd_solve_matches_serial() {
         DdSolverConfig {
             fgmres: dist_cfg().fgmres,
             schwarz: dist_cfg().schwarz,
-            precision: Precision::Single,
-            workers: 1,
-            fused_outer: true,
             ..Default::default()
         },
     )

@@ -20,13 +20,8 @@ fn dd_config(block: Dims) -> DdSolverConfig {
             block,
             i_schwarz: 5,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
-        precision: Precision::Single,
-        workers: 1,
-        fused_outer: true,
         ..Default::default()
     }
 }

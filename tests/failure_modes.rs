@@ -22,18 +22,12 @@ fn singular_clover_blocks_are_detected_at_setup() {
     let clover = build_clover_field(&gauge, 1.0, &basis);
     let op = WilsonClover::new(gauge, clover, -4.0, BoundaryPhases::periodic());
     let cfg = DdSolverConfig {
-        fgmres: FgmresConfig::default(),
         schwarz: SchwarzConfig {
             block: Dims::new(2, 2, 2, 2),
             i_schwarz: 2,
             mr: MrConfig { iterations: 2, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
-        precision: Precision::Single,
-        workers: 1,
-        fused_outer: true,
         ..Default::default()
     };
     assert!(DdSolver::new(op, cfg).is_none());
@@ -126,8 +120,6 @@ fn mr_handles_exactly_singular_rhs_direction() {
             block: Dims::new(2, 2, 2, 2),
             i_schwarz: 2,
             mr: MrConfig { iterations: 4, tolerance: 0.0, f16_vectors: false },
-            additive: false,
-            overlap: true,
             ..Default::default()
         },
     )
