@@ -1,42 +1,81 @@
 //! Criterion bench: the MR block solve (Table II left column, as a real
-//! measured kernel) — scalar Schur path, paper parameters Idomain = 5.
+//! measured kernel) — the scalar AoS oracle beside the site-fused solver
+//! the Schwarz sweep runs, on the benchmark's 4^4 block and the paper's
+//! 8x4^3, f32, with and without f16 iteration vectors; Idomain = 5.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdd_bench::test_operator;
-use qdd_core::mr::{mr_solve_schur, MrConfig};
+use qdd_core::mr::{mr_solve_fused, mr_solve_schur, MrConfig};
 use qdd_dirac::block::{DomainFields, SchurOperator};
+use qdd_dirac::fused::{fused_from_cb, FusedSchur};
+use qdd_field::fused::FusedField;
 use qdd_field::spinor::Spinor;
 use qdd_lattice::{Dims, DomainGrid};
 use qdd_util::rng::Rng64;
 use std::hint::black_box;
 
-fn bench_mr(c: &mut Criterion) {
-    let block = Dims::new(8, 4, 4, 4);
+const I_DOMAIN: usize = 5;
+
+fn bench_block<const N: usize>(c: &mut Criterion, block: Dims) {
     let dims = block.times(&Dims::new(2, 2, 2, 2));
     let op = test_operator(dims, 0.5, 0.2, 11).cast::<f32>();
-    let grid = DomainGrid::new(dims, block);
+    let domain = DomainGrid::new(dims, block).domain(0);
     let fields = DomainFields::new(&op).unwrap();
-    let schur = SchurOperator::new(&op, &fields, grid.domain(0));
+    let schur = SchurOperator::new(&op, &fields, domain);
     let n = schur.cb_len();
     let mut rng = Rng64::new(12);
     let rhs: Vec<Spinor<f32>> = (0..n).map(|_| Spinor::random(&mut rng)).collect();
-    let mut u = vec![Spinor::ZERO; n];
-    let mut r = vec![Spinor::ZERO; n];
-    let mut q = vec![Spinor::ZERO; n];
+    let zeros = vec![Spinor::ZERO; n];
+    let (mut u, mut r, mut q) = (zeros.clone(), zeros.clone(), zeros.clone());
     let mut scratch = vec![Spinor::ZERO; 2 * n];
-    let cfg = MrConfig { iterations: 5, tolerance: 0.0, f16_vectors: false };
 
-    let mut group = c.benchmark_group("mr_block_solve_8x4x4x4");
-    // Flop throughput reference: ~5 Schur applications of 1848 flop/site.
-    group.throughput(criterion::Throughput::Elements((5 * 1848 * block.volume()) as u64));
-    group.bench_function("idomain5_f32", |b| {
-        b.iter(|| {
-            let out =
-                mr_solve_schur(&schur, &cfg, &mut u, black_box(&rhs), &mut r, &mut q, &mut scratch);
-            black_box(out);
-        })
-    });
+    let fschur = FusedSchur::<f32, N>::new(&op, &domain).unwrap();
+    let frhs = fused_from_cb::<f32, N>(block, &rhs, &zeros);
+    let field = || FusedField::<f32, N>::zeros(block);
+    let (mut fu, mut fr, mut fq, mut s1, mut s2) = (field(), field(), field(), field(), field());
+
+    let mut group = c.benchmark_group(&format!("mr_block_solve_{block}"));
+    // Nominal flops: Idomain Schur applications of 1848 flop/site plus four
+    // level-1 operations of 96 flop per even site each.
+    let flops = I_DOMAIN * (1848 * block.volume() + 4 * 96 * n);
+    group.throughput(criterion::Throughput::Elements(flops as u64));
+    for f16_vectors in [false, true] {
+        let cfg = MrConfig { iterations: I_DOMAIN, tolerance: 0.0, f16_vectors };
+        let tag = if f16_vectors { "f32_f16vec" } else { "f32" };
+        group.bench_function(&format!("scalar_{tag}"), |b| {
+            b.iter(|| {
+                black_box(mr_solve_schur(
+                    &schur,
+                    &cfg,
+                    &mut u,
+                    black_box(&rhs),
+                    &mut r,
+                    &mut q,
+                    &mut scratch,
+                ))
+            })
+        });
+        group.bench_function(&format!("fused_{tag}"), |b| {
+            b.iter(|| {
+                black_box(mr_solve_fused(
+                    &fschur,
+                    &cfg,
+                    &mut fu,
+                    black_box(&frhs),
+                    &mut fr,
+                    &mut fq,
+                    &mut s1,
+                    &mut s2,
+                ))
+            })
+        });
+    }
     group.finish();
+}
+
+fn bench_mr(c: &mut Criterion) {
+    bench_block::<8>(c, Dims::new(4, 4, 4, 4));
+    bench_block::<16>(c, Dims::new(8, 4, 4, 4));
 }
 
 criterion_group! {

@@ -21,11 +21,11 @@
 //! colors would put adjacent domains in the same half-sweep.
 
 use crate::runtime::{CommError, FacePart, HaloScalar, RankCtx};
+use qdd_core::block_update::BlockKernels;
 use qdd_core::pool::{resolve_workers, WorkerPool};
 use qdd_core::schwarz::{
     assert_two_colorable, FaceHalf, RankBoundary, SchwarzConfig, SendSlot, Sweep,
 };
-use qdd_dirac::block::DomainFields;
 use qdd_dirac::boundary::{pack_sites_for_backward_hop_with, pack_sites_for_forward_hop_with};
 use qdd_dirac::wilson::WilsonClover;
 use qdd_field::fields::SpinorField;
@@ -77,7 +77,9 @@ struct Exchange {
 pub struct DistSchwarz<'a, T: HaloScalar> {
     ctx: &'a RankCtx<'a>,
     op: &'a WilsonClover<T>,
-    fields: DomainFields<T>,
+    /// Per-domain block-solve constants (fused `FusedSchur` tiles wherever
+    /// the block's xy cross-section fills a register).
+    kernels: BlockKernels<T>,
     grid: DomainGrid,
     cfg: SchwarzConfig,
     /// Local domain indices per *global* color.
@@ -162,11 +164,11 @@ impl<'a, T: HaloScalar> DistSchwarz<'a, T> {
             }
         }
 
-        let fields = DomainFields::new(op)?;
+        let kernels = BlockKernels::new(op, &grid)?;
         Some(Self {
             ctx,
             op,
-            fields,
+            kernels,
             grid,
             cfg,
             colors,
@@ -196,7 +198,7 @@ impl<'a, T: HaloScalar> DistSchwarz<'a, T> {
     pub fn apply(&self, f: &SpinorField<T>, stats: &mut SolveStats) -> SpinorField<T> {
         let sweep = Sweep {
             op: self.op,
-            fields: &self.fields,
+            kernels: &self.kernels,
             grid: &self.grid,
             cfg: &self.cfg,
             colors: &self.colors,
@@ -455,6 +457,40 @@ mod tests {
     #[test]
     fn matches_serial_16ranks() {
         check_dist_schwarz(Dims::new(2, 2, 2, 2), Dims::new(4, 4, 4, 4), 2);
+    }
+
+    #[test]
+    fn singular_clover_site_is_refused() {
+        use qdd_field::clover::CloverSite;
+        use qdd_field::fields::CloverField;
+        let global_dims = Dims::new(8, 8, 8, 8);
+        let grid = RankGrid::new(global_dims, Dims::new(1, 1, 1, 2));
+        let mut rng = Rng64::new(36);
+        let gauge = GaugeField::<f64>::random(global_dims, &mut rng, 0.5);
+        let good = build_clover_field(&gauge, 1.4, &GammaBasis::degrand_rossi());
+        // Cancel the (4 + m) shift on one site of rank 1.
+        let last = global_dims.volume() - 1;
+        let clover = CloverField::from_fn(global_dims, |s| {
+            if s == last {
+                CloverSite::default().add_diag(-4.2)
+            } else {
+                *good.site(s)
+            }
+        });
+        let local_gauge = scatter_gauge(&gauge, &grid);
+        let local_clover = scatter_clover(&clover, &grid);
+        let world = CommWorld::new(grid.clone());
+        let built = run_spmd(&world, |ctx| {
+            let r = ctx.rank();
+            let op = WilsonClover::new(
+                local_gauge[r].clone(),
+                local_clover[r].clone(),
+                0.2,
+                BoundaryPhases::antiperiodic_t(),
+            );
+            DistSchwarz::new(ctx, &op, schwarz_cfg(Dims::new(4, 4, 4, 4), 1)).is_some()
+        });
+        assert_eq!(built, vec![true, false]);
     }
 
     #[test]

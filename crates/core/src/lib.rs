@@ -11,7 +11,8 @@
 //!   ([`schwarz`]), single precision (optionally with half-precision gauge
 //!   and clover storage);
 //! - block solver: minimal residual ([`mr`]) on the even-odd Schur
-//!   complement, a fixed small number of iterations per block.
+//!   complement, a fixed small number of iterations per block, run on
+//!   site-fused tiles by the one block update ([`block_update`]).
 //!
 //! Baselines (paper Table III): double-precision BiCGstab
 //! ([`bicgstab`]) and a mixed-precision Richardson/BiCGstab solver
@@ -23,6 +24,7 @@
 
 pub mod bicgstab;
 pub mod blas;
+pub mod block_update;
 pub mod cg;
 pub mod dd_solver;
 pub mod fgmres_dr;
@@ -39,7 +41,7 @@ pub use cg::{cgnr, CgConfig};
 pub use dd_solver::{DdSolver, DdSolverConfig, Precision};
 pub use fgmres_dr::{fgmres_dr, fgmres_dr_with_workspace, Breakdown, FgmresConfig, SolveOutcome};
 pub use gcr::{gcr, GcrConfig};
-pub use mr::{mr_solve_schur, MrConfig};
+pub use mr::{mr_solve_fused, mr_solve_schur, MrConfig};
 pub use pool::{resolve_workers, SharedCells, WorkerPool, WorkspacePool};
 pub use richardson::{richardson_bicgstab, RichardsonConfig};
 pub use schwarz::{SchwarzConfig, SchwarzPreconditioner};

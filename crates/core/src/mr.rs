@@ -8,7 +8,10 @@
 
 use crate::blas;
 use qdd_dirac::block::SchurOperator;
+use qdd_dirac::fused::FusedSchur;
+use qdd_field::fused::{FusedField, FusedTile, VReal, VF16};
 use qdd_field::spinor::Spinor;
+use qdd_lattice::Parity;
 use qdd_util::complex::{Complex, Real};
 
 /// MR iteration parameters.
@@ -57,7 +60,8 @@ pub struct MrOutcome {
     pub iterations: usize,
     /// Flops spent (operator + level-1).
     pub flops: f64,
-    /// Squared norm of the final residual.
+    /// Squared norm of the final residual (`|rhs|^2` when no iteration
+    /// completed).
     pub residual_norm_sqr: f64,
 }
 
@@ -85,8 +89,8 @@ pub fn mr_solve_schur<T: Real>(
     if cfg.f16_vectors {
         round_vector_f16(r);
     }
-    let mut out = MrOutcome::default();
     let rhs_norm = blas::norm_sqr(r).to_f64();
+    let mut out = MrOutcome { residual_norm_sqr: rhs_norm, ..Default::default() };
     if rhs_norm == 0.0 {
         return out;
     }
@@ -118,8 +122,107 @@ pub fn mr_solve_schur<T: Real>(
             break;
         }
     }
-    if out.residual_norm_sqr == 0.0 && out.iterations > 0 {
-        out.residual_norm_sqr = blas::norm_sqr(r).to_f64();
+    out
+}
+
+/// `(<a, b>, |a|^2)` over the even tiles, accumulated lane-wise in tile and
+/// component order and reduced across lanes last: a fixed order, so the
+/// block solve is a pure function of its inputs.
+fn dot_and_norm_even<T: Real, const N: usize>(
+    a: &FusedField<T, N>,
+    b: &FusedField<T, N>,
+) -> (Complex<T>, T) {
+    let (mut re, mut im, mut nn) = (VReal::<T, N>::ZERO, VReal::ZERO, VReal::ZERO);
+    for (at, bt) in a.tiles(Parity::Even).iter().zip(b.tiles(Parity::Even)) {
+        for k in 0..12 {
+            let (a_re, a_im, b_re, b_im) = (at[2 * k], at[2 * k + 1], bt[2 * k], bt[2 * k + 1]);
+            re = re.fma(a_re, b_re).fma(a_im, b_im);
+            im = im.fma(a_re, b_im).fms(a_im, b_re);
+            nn = nn.fma(a_re, a_re).fma(a_im, a_im);
+        }
+    }
+    (Complex::new(re.reduce_add(), im.reduce_add()), nn.reduce_add())
+}
+
+/// `y += alpha x` on one tile (complex `alpha`, split re/im lanes).
+#[inline(always)]
+fn tile_axpy<T: Real, const N: usize>(
+    y: &mut FusedTile<T, N>,
+    alpha: Complex<T>,
+    x: &FusedTile<T, N>,
+) {
+    let (a_re, a_im) = (VReal::splat(alpha.re), VReal::splat(alpha.im));
+    for k in 0..12 {
+        let (x_re, x_im) = (x[2 * k], x[2 * k + 1]);
+        y[2 * k] = y[2 * k].fma(a_re, x_re).fms(a_im, x_im);
+        y[2 * k + 1] = y[2 * k + 1].fma(a_re, x_im).fma(a_im, x_re);
+    }
+}
+
+/// Round one tile through packed f16 lanes (`MrConfig::f16_vectors`).
+#[inline(always)]
+fn tile_round_f16<T: Real, const N: usize>(t: &mut FusedTile<T, N>) {
+    for v in t {
+        *v = VF16::compress(v).decompress();
+    }
+}
+
+/// [`mr_solve_schur`] on site-fused tiles: solve `D~ee u = rhs` on the even
+/// checkerboard of one domain, from `u = 0`. Only even tiles of `u`, `rhs`,
+/// `r` and `q` are read or written; `s1`, `s2` are the Schur operator's
+/// scratch. Same iteration, same nominal flop count; it differs from the
+/// scalar solver only in floating-point summation order.
+#[allow(clippy::too_many_arguments)]
+pub fn mr_solve_fused<T: Real, const N: usize>(
+    schur: &FusedSchur<T, N>,
+    cfg: &MrConfig,
+    u: &mut FusedField<T, N>,
+    rhs: &FusedField<T, N>,
+    r: &mut FusedField<T, N>,
+    q: &mut FusedField<T, N>,
+    s1: &mut FusedField<T, N>,
+    s2: &mut FusedField<T, N>,
+) -> MrOutcome {
+    let n = u.layout().block().volume() / 2;
+    u.tiles_mut(Parity::Even).fill([VReal::ZERO; 24]);
+    r.tiles_mut(Parity::Even).copy_from_slice(rhs.tiles(Parity::Even));
+    if cfg.f16_vectors {
+        r.tiles_mut(Parity::Even).iter_mut().for_each(tile_round_f16);
+    }
+    let rhs_norm = dot_and_norm_even(r, r).1.to_f64();
+    let mut out = MrOutcome { residual_norm_sqr: rhs_norm, ..Default::default() };
+    if rhs_norm == 0.0 {
+        return out;
+    }
+    let tol_sqr = cfg.tolerance * cfg.tolerance * rhs_norm;
+
+    for _ in 0..cfg.iterations {
+        // q = D~ee r
+        schur.apply_schur(q, r, s1, s2);
+        out.flops += qdd_dirac::wilson::TOTAL_FLOPS_PER_SITE * (2 * n) as f64;
+        // alpha = <q, r> / <q, q>
+        let (qr, qq) = dot_and_norm_even(q, r);
+        out.flops += 2.0 * blas::level1_flops(n);
+        if qq.to_f64() <= 0.0 || !qq.to_f64().is_finite() {
+            break; // breakdown: D~ee r vanished
+        }
+        let alpha = qr.scale(T::ONE / qq);
+        // u += alpha r; r -= alpha q
+        let (ut, rt) = (u.tiles_mut(Parity::Even), r.tiles_mut(Parity::Even));
+        for ((ut, rt), qt) in ut.iter_mut().zip(rt).zip(q.tiles(Parity::Even)) {
+            tile_axpy(ut, alpha, rt);
+            tile_axpy(rt, -alpha, qt);
+            if cfg.f16_vectors {
+                tile_round_f16(ut);
+                tile_round_f16(rt);
+            }
+        }
+        out.flops += 2.0 * blas::level1_flops(n);
+        out.iterations += 1;
+        out.residual_norm_sqr = dot_and_norm_even(r, r).1.to_f64();
+        if cfg.tolerance > 0.0 && out.residual_norm_sqr <= tol_sqr {
+            break;
+        }
     }
     out
 }
@@ -244,6 +347,73 @@ mod tests {
         }
         let rel = (blas::norm_sqr(&diff) / blas::norm_sqr(&u_true)).sqrt();
         assert!(rel < 1e-5, "rel err {rel} after {} iters", out.iterations);
+    }
+
+    /// Both MR variants on one domain and right-hand side: `(scalar,
+    /// fused)` outcomes and the relative difference of the solutions.
+    fn both_variants(cfg: &MrConfig, zero_rhs: bool) -> (MrOutcome, MrOutcome, f64) {
+        use qdd_dirac::fused::{fused_from_cb, fused_to_cb};
+        let (op, grid) = setup(0.5, 0.3);
+        let fields = DomainFields::new(&op).unwrap();
+        let domain = grid.domain(3);
+        let schur = SchurOperator::new(&op, &fields, domain);
+        let n = schur.cb_len();
+        let mut rng = Rng64::new(95);
+        let rhs: Vec<Spinor<f64>> = (0..n)
+            .map(|_| if zero_rhs { Spinor::ZERO } else { Spinor::random(&mut rng) })
+            .collect();
+        let zeros = vec![Spinor::ZERO; n];
+        let (mut u, mut r, mut q) = (zeros.clone(), zeros.clone(), zeros.clone());
+        let mut scratch = vec![Spinor::ZERO; 2 * n];
+        let scalar = mr_solve_schur(&schur, cfg, &mut u, &rhs, &mut r, &mut q, &mut scratch);
+
+        let block = domain.dims;
+        let fschur = FusedSchur::<f64, 8>::new(&op, &domain).unwrap();
+        let frhs = fused_from_cb::<f64, 8>(block, &rhs, &zeros);
+        let field = || FusedField::<f64, 8>::zeros(block);
+        let (mut fu, mut fr, mut fq, mut s1, mut s2) =
+            (field(), field(), field(), field(), field());
+        let fused =
+            mr_solve_fused(&fschur, cfg, &mut fu, &frhs, &mut fr, &mut fq, &mut s1, &mut s2);
+        let (got, _) = fused_to_cb::<f64, 8>(&fu, block);
+        let diff: f64 = got.iter().zip(&u).map(|(a, b)| a.sub(*b).norm_sqr()).sum();
+        (scalar, fused, (diff / blas::norm_sqr(&u).max(f64::MIN_POSITIVE)).sqrt())
+    }
+
+    #[test]
+    fn fused_mr_is_the_scalar_mr_up_to_summation_order() {
+        for f16_vectors in [false, true] {
+            let cfg = MrConfig { iterations: 5, tolerance: 0.0, f16_vectors };
+            let (scalar, fused, rel) = both_variants(&cfg, false);
+            assert_eq!(fused.iterations, scalar.iterations);
+            assert_eq!(fused.flops, scalar.flops, "same nominal flop accounting");
+            let tol = if f16_vectors { 2e-3 } else { 1e-13 };
+            assert!(rel <= tol, "f16_vectors={f16_vectors}: solutions differ by {rel:e}");
+            let dr = (fused.residual_norm_sqr / scalar.residual_norm_sqr - 1.0).abs();
+            assert!(dr <= 10.0 * tol, "f16_vectors={f16_vectors}: residuals differ by {dr:e}");
+        }
+        // Early exit on tolerance takes the same number of steps.
+        let cfg = MrConfig { iterations: 100, tolerance: 1e-2, f16_vectors: false };
+        let (scalar, fused, _) = both_variants(&cfg, false);
+        assert!(scalar.iterations < 100);
+        assert_eq!(fused.iterations, scalar.iterations);
+    }
+
+    /// Regression: a solve that completes no iteration used to report
+    /// `residual_norm_sqr == 0.0` — converged — for a non-zero rhs.
+    #[test]
+    fn zero_iteration_solve_reports_the_rhs_norm() {
+        let cfg = MrConfig { iterations: 0, tolerance: 0.0, f16_vectors: false };
+        let (scalar, fused, _) = both_variants(&cfg, false);
+        for out in [scalar, fused] {
+            assert_eq!(out.iterations, 0);
+            assert!(out.residual_norm_sqr > 1.0, "reported {}", out.residual_norm_sqr);
+        }
+        assert!((fused.residual_norm_sqr / scalar.residual_norm_sqr - 1.0).abs() < 1e-13);
+        // A zero rhs is the one case where zero is the truth.
+        let (scalar, fused, _) = both_variants(&MrConfig::default(), true);
+        assert_eq!((scalar.iterations, scalar.residual_norm_sqr), (0, 0.0));
+        assert_eq!((fused.iterations, fused.residual_norm_sqr), (0, 0.0));
     }
 
     #[test]

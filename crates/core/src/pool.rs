@@ -462,14 +462,14 @@ fn worker_loop(shared: &PoolShared, wid: usize) {
 /// Blocked assignment of `n` work items to `workers` workers (the paper's
 /// domain-to-core mapping, see `qdd-lattice::load::core_assignment`).
 pub fn blocked_ranges(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let rounds = if n == 0 { 0 } else { n.div_ceil(workers) };
-    (0..workers)
-        .map(|w| {
-            let lo = (w * rounds).min(n);
-            let hi = ((w + 1) * rounds).min(n);
-            lo..hi
-        })
-        .collect()
+    (0..workers).map(|w| blocked_range(n, workers, w)).collect()
+}
+
+/// Worker `w`'s range of [`blocked_ranges`], without the allocation.
+#[inline]
+pub fn blocked_range(n: usize, workers: usize, w: usize) -> std::ops::Range<usize> {
+    let rounds = n.div_ceil(workers);
+    (w * rounds).min(n)..((w + 1) * rounds).min(n)
 }
 
 #[cfg(test)]

@@ -11,16 +11,14 @@
 //! returns `u ~= A^-1 f` from `u0 = 0` — exactly what a flexible outer
 //! solver expects.
 
-use crate::mr::{mr_solve_schur, MrConfig};
-use crate::pool::{
-    blocked_ranges, LeaderOnly, SharedCells, SharedSpinors, SpinBarrier, WorkerPool,
-};
-use qdd_dirac::block::{DomainFields, SchurOperator};
+use crate::block_update::{schwarz_block_update, BlockKernels, Iterate};
+use crate::mr::MrConfig;
+use crate::pool::{blocked_range, LeaderOnly, SharedCells, SharedSpinors, SpinBarrier, WorkerPool};
 use qdd_dirac::wilson::WilsonClover;
 use qdd_field::fields::SpinorField;
 use qdd_field::halo::HaloData;
 use qdd_field::spinor::Spinor;
-use qdd_lattice::{Dims, DomainColor, DomainGrid, Parity};
+use qdd_lattice::{Dims, DomainColor, DomainGrid};
 use qdd_util::complex::Real;
 use qdd_util::stats::{Component, SolveStats};
 use std::cell::Cell;
@@ -188,7 +186,7 @@ pub fn plan_color_schedule(
 /// The assembled preconditioner for one operator.
 pub struct SchwarzPreconditioner<T: Real> {
     op: WilsonClover<T>,
-    fields: DomainFields<T>,
+    kernels: BlockKernels<T>,
     grid: DomainGrid,
     cfg: SchwarzConfig,
     colors: [Vec<usize>; 2],
@@ -199,10 +197,10 @@ impl<T: Real> SchwarzPreconditioner<T> {
     /// operator). Returns `None` if a clover block is singular.
     pub fn new(op: WilsonClover<T>, cfg: SchwarzConfig) -> Option<Self> {
         let grid = DomainGrid::new(*op.dims(), cfg.block);
-        let fields = DomainFields::new(&op)?;
+        let kernels = BlockKernels::new(&op, &grid)?;
         let colors =
             [grid.domains_of_color(DomainColor::Black), grid.domains_of_color(DomainColor::White)];
-        Some(Self { op, fields, grid, cfg, colors })
+        Some(Self { op, kernels, grid, cfg, colors })
     }
 
     #[inline]
@@ -215,54 +213,51 @@ impl<T: Real> SchwarzPreconditioner<T> {
         &self.cfg
     }
 
-    /// Compute the update `(z_e, z_o)` for one domain from the current
-    /// iterate (read through `fetch`), and the flops spent.
-    #[allow(clippy::type_complexity)]
-    fn block_update<F: Fn(usize) -> Spinor<T>>(
-        &self,
-        dom_idx: usize,
-        f: &SpinorField<T>,
-        fetch: F,
-    ) -> (SchurOperator<'_, T>, Vec<Spinor<T>>, Vec<Spinor<T>>, f64) {
-        let schur = SchurOperator::new(&self.op, &self.fields, self.grid.domain(dom_idx));
-        let au = |g: usize| self.op.apply_site_with(g, &fetch);
-        let (z_e, z_o, flops) = schwarz_block_update(&schur, &self.cfg.mr, f, au);
-        (schur, z_e, z_o, flops)
-    }
-
     /// Apply the preconditioner serially: returns `u ~= A^-1 f`.
     pub fn apply(&self, f: &SpinorField<T>, stats: &mut SolveStats) -> SpinorField<T> {
         assert_eq!(f.dims(), self.op.dims());
         let mut u = SpinorField::zeros(*f.dims());
+        let mut worker = self.kernels.worker(&self.op);
+        let halo = HaloData::zeros_split(*f.dims(), [false; 4]);
         let mut flops = 0.0;
         for _ in 0..self.cfg.i_schwarz {
             stats.span_begin(qdd_trace::Phase::SchwarzSweep);
             if self.cfg.additive {
                 // All updates from the frozen iterate.
-                let mut updates = Vec::with_capacity(self.grid.num_domains());
+                let mut delta = SpinorField::zeros(*f.dims());
+                let iterate = Iterate { fetch: &|i| *u.site(i), halo: &halo, split: [false; 4] };
                 for dom_idx in 0..self.grid.num_domains() {
                     stats.span_begin(qdd_trace::Phase::DomainSolve);
-                    let (_, z_e, z_o, fl) = self.block_update(dom_idx, f, |i| *u.site(i));
+                    flops += schwarz_block_update(
+                        &mut *worker,
+                        dom_idx,
+                        &self.cfg.mr,
+                        f,
+                        &iterate,
+                        &mut |g, z| *delta.site_mut(g) = z,
+                    );
                     stats.span_end(qdd_trace::Phase::DomainSolve);
-                    updates.push((dom_idx, z_e, z_o));
-                    flops += fl;
                 }
-                for (dom_idx, z_e, z_o) in updates {
-                    let schur =
-                        SchurOperator::new(&self.op, &self.fields, self.grid.domain(dom_idx));
-                    schur.scatter_add_cb(&mut u, &z_e, Parity::Even);
-                    schur.scatter_add_cb(&mut u, &z_o, Parity::Odd);
+                for (u, z) in u.as_mut_slice().iter_mut().zip(delta.as_slice()) {
+                    *u = u.add(*z);
                 }
             } else {
+                let cells = Cell::from_mut(u.as_mut_slice()).as_slice_of_cells();
+                let iterate =
+                    Iterate { fetch: &|i| cells[i].get(), halo: &halo, split: [false; 4] };
                 for color in DomainColor::ALL {
                     stats.span_begin(qdd_trace::Phase::ColorSweep);
                     for &dom_idx in &self.colors[color as usize] {
                         stats.span_begin(qdd_trace::Phase::DomainSolve);
-                        let (schur, z_e, z_o, fl) = self.block_update(dom_idx, f, |i| *u.site(i));
-                        schur.scatter_add_cb(&mut u, &z_e, Parity::Even);
-                        schur.scatter_add_cb(&mut u, &z_o, Parity::Odd);
+                        flops += schwarz_block_update(
+                            &mut *worker,
+                            dom_idx,
+                            &self.cfg.mr,
+                            f,
+                            &iterate,
+                            &mut |g, z| cells[g].set(cells[g].get().add(z)),
+                        );
                         stats.span_end(qdd_trace::Phase::DomainSolve);
-                        flops += fl;
                     }
                     stats.span_end(qdd_trace::Phase::ColorSweep);
                 }
@@ -292,7 +287,7 @@ impl<T: Real> SchwarzPreconditioner<T> {
         }
         let sweep = Sweep {
             op: &self.op,
-            fields: &self.fields,
+            kernels: &self.kernels,
             grid: &self.grid,
             cfg: &self.cfg,
             colors: &self.colors,
@@ -376,7 +371,7 @@ impl<T: Real> RankBoundary<T> for Unsplit {
 /// colored *globally* when the lattice continues on other ranks.
 pub struct Sweep<'a, T: Real> {
     pub op: &'a WilsonClover<T>,
-    pub fields: &'a DomainFields<T>,
+    pub kernels: &'a BlockKernels<T>,
     pub grid: &'a DomainGrid,
     pub cfg: &'a SchwarzConfig,
     pub colors: &'a [Vec<usize>; 2],
@@ -451,7 +446,9 @@ impl<T: Real> Sweep<'_, T> {
             // neighbors (not written in this epoch) and writes only its
             // own domain; a wave reads face sites of completed stages.
             let fetch = |i: usize| unsafe { shared.read(i) };
-            let store = |g: usize, v: Spinor<T>| unsafe { shared.add(g, v) };
+            let mut store = |g: usize, v: Spinor<T>| unsafe { shared.add(g, v) };
+            // This worker's scratch for every block update of the job.
+            let mut worker = self.kernels.worker(self.op);
             let mut flops = 0.0;
             for round in 0..rounds {
                 let color = DomainColor::ALL[round % 2];
@@ -472,25 +469,23 @@ impl<T: Real> Sweep<'_, T> {
                 }
                 // SAFETY (SharedCells): no halo writer until every worker
                 // has passed this round's last stage barrier.
-                let halo = unsafe { halo_cell.get(0) };
+                let iterate = Iterate { fetch: &fetch, halo: unsafe { halo_cell.get(0) }, split };
                 for (si, stage) in sched.stages.iter().enumerate() {
                     if let Some(b) = exchange.filter(|_| si > 0) {
                         // The previous stage's faces are final: pack and
                         // send them while this stage computes.
                         b.post_wave(&sched.sends_after[si - 1], color, &fetch);
                     }
-                    let range = blocked_ranges(stage.len(), workers)[w].clone();
-                    for &dom_idx in &stage[range] {
+                    for &dom_idx in &stage[blocked_range(stage.len(), workers, w)] {
                         rec.begin(qdd_trace::Phase::DomainSolve);
-                        let schur =
-                            SchurOperator::new(self.op, self.fields, self.grid.domain(dom_idx));
-                        let au = |g: usize| {
-                            self.op.apply_site_with_halo_fetch_split(g, fetch, halo, split)
-                        };
-                        let (z_e, z_o, fl) = schwarz_block_update(&schur, &self.cfg.mr, f, au);
-                        schur.scatter_add_cb_with(store, &z_e, Parity::Even);
-                        schur.scatter_add_cb_with(store, &z_o, Parity::Odd);
-                        flops += fl;
+                        flops += schwarz_block_update(
+                            &mut *worker,
+                            dom_idx,
+                            &self.cfg.mr,
+                            f,
+                            &iterate,
+                            &mut store,
+                        );
                         rec.end(qdd_trace::Phase::DomainSolve);
                     }
                     barrier.wait(&sense);
@@ -514,54 +509,6 @@ impl<T: Real> Sweep<'_, T> {
         );
         u
     }
-}
-
-/// One Schwarz block update: the approximate solve of `D z = (f - A u)|_b`
-/// for a single domain. `au_site` evaluates `(A u)(site)` — the serial
-/// reference reads `u` directly, the sweep engine through a shared pointer
-/// plus the rank halo. Returns `(z_even, z_odd, flops)` in
-/// checkerboard-index order.
-fn schwarz_block_update<T: Real>(
-    schur: &SchurOperator<'_, T>,
-    mr_cfg: &MrConfig,
-    f: &SpinorField<T>,
-    au_site: impl Fn(usize) -> Spinor<T>,
-) -> (Vec<Spinor<T>>, Vec<Spinor<T>>, f64) {
-    let n = schur.cb_len();
-    let mut flops = 0.0;
-
-    // Block residual r = (f - A u)|_domain, per parity.
-    let even_sites = schur.global_cb_indices(Parity::Even);
-    let odd_sites = schur.global_cb_indices(Parity::Odd);
-    let mut r_e = Vec::with_capacity(n);
-    for &g in &even_sites {
-        r_e.push(f.site(g).sub(au_site(g)));
-    }
-    let mut r_o = Vec::with_capacity(n);
-    for &g in &odd_sites {
-        r_o.push(f.site(g).sub(au_site(g)));
-    }
-    flops += qdd_dirac::wilson::TOTAL_FLOPS_PER_SITE * (2 * n) as f64;
-
-    // Schur right-hand side and MR solve for the even half.
-    let mut scratch_odd = vec![Spinor::ZERO; 2 * n];
-    let mut rhs = vec![Spinor::ZERO; n];
-    schur.prepare_rhs(&mut rhs, &r_e, &r_o, &mut scratch_odd);
-    flops += 924.0 * (2 * n) as f64; // half-volume hop + diag-inv
-
-    let mut z_e = vec![Spinor::ZERO; n];
-    let mut mr_r = vec![Spinor::ZERO; n];
-    let mut mr_q = vec![Spinor::ZERO; n];
-    let mr_out =
-        mr_solve_schur(schur, mr_cfg, &mut z_e, &rhs, &mut mr_r, &mut mr_q, &mut scratch_odd);
-    flops += mr_out.flops;
-
-    // Odd half from the even solution.
-    let mut z_o = vec![Spinor::ZERO; n];
-    schur.reconstruct_odd(&mut z_o, &z_e, &r_o);
-    flops += 924.0 * (2 * n) as f64;
-
-    (z_e, z_o, flops)
 }
 
 #[cfg(test)]
@@ -742,6 +689,52 @@ mod tests {
                     < 1.0
             );
             assert_eq!(pool.jobs_dispatched(), 1, "one pool job per application");
+        }
+    }
+
+    /// A block whose xy cross-section fills no power-of-two register (6x2:
+    /// six lanes) has no fused kernel; the preconditioner still works —
+    /// through the scalar block update — and keeps the worker contract.
+    #[test]
+    fn non_power_of_two_cross_section_still_preconditions() {
+        let dims = Dims::new(12, 4, 4, 8);
+        let block = Dims::new(6, 2, 2, 4);
+        let op = operator(dims, 0.4, 0.3, 62);
+        let mut rng = Rng64::new(63);
+        let f = SpinorField::<f64>::random(dims, &mut rng);
+        let pre =
+            SchwarzPreconditioner::new(operator(dims, 0.4, 0.3, 62), config(4, 4, block)).unwrap();
+        let mut stats = SolveStats::new();
+        let u = pre.apply(&f, &mut stats);
+        let q = preconditioner_quality(&op, &f, &u);
+        assert!(q < 0.5, "rel residual {q}");
+        let parallel = pre.apply_parallel(&f, &WorkerPool::new(2), &mut stats);
+        assert_eq!(u.as_slice(), parallel.as_slice());
+    }
+
+    /// On the fused path and on the scalar one (6x2 cross-section).
+    #[test]
+    fn singular_clover_site_is_refused() {
+        use qdd_field::clover::CloverSite;
+        use qdd_field::fields::CloverField;
+        let dims = Dims::new(12, 4, 4, 8);
+        let good = operator(dims, 0.5, 0.2, 64);
+        // Cancel the (4 + m) shift on one site: its diagonal vanishes.
+        let clover = CloverField::from_fn(dims, |s| {
+            if s == 123 {
+                CloverSite::default().add_diag(-(4.0 + good.mass()))
+            } else {
+                *good.clover().site(s)
+            }
+        });
+        for block in [Dims::new(4, 2, 2, 4), Dims::new(6, 2, 2, 4)] {
+            let bad = WilsonClover::new(
+                good.gauge().clone(),
+                clover.clone(),
+                good.mass(),
+                *good.phases(),
+            );
+            assert!(SchwarzPreconditioner::new(bad, config(2, 3, block)).is_none(), "{block}");
         }
     }
 

@@ -304,7 +304,7 @@ impl<T: Real, const N: usize> ConstStore<T, N> for NativeConsts<T, N> {
 
     #[inline(always)]
     fn clover(&self, p: Parity, tile: usize) -> &CloverTile<T, N> {
-        &self.clover.data[p.index()][tile]
+        self.clover.tile(p, tile)
     }
 }
 

@@ -20,6 +20,15 @@ pub const CLOVER_FLOPS_PER_SITE: f64 = 504.0;
 /// Total flop count of one operator application per site.
 pub const TOTAL_FLOPS_PER_SITE: f64 = 1848.0;
 
+/// Bit of the hop towards `(dir, forward)` in a hop mask.
+#[inline(always)]
+pub fn hop_bit(dir: Dir, forward: bool) -> u8 {
+    1 << (2 * dir.index() + forward as usize)
+}
+
+/// The hop mask selecting all eight hops.
+pub const ALL_HOPS: u8 = 0xFF;
+
 /// Fermion boundary phases: the sign picked up by a hopping term that
 /// wraps around the global lattice in each direction. Standard QCD choice:
 /// antiperiodic in t, periodic in space.
@@ -339,25 +348,60 @@ impl<T: Real> WilsonClover<T> {
         halo: &HaloData<T>,
         split: [bool; 4],
     ) -> Spinor<T> {
+        let mut acc = self.diag.site(site).apply(&fetch(site));
+        self.accumulate_hops(&mut acc, site, ALL_HOPS, &fetch, halo, split);
+        acc
+    }
+
+    /// The hops of `(A psi)(site)` selected by `hops` (see [`hop_bit`]),
+    /// without the site diagonal — neighbors, halo and boundary phases read
+    /// exactly as in [`Self::apply_site_with_halo_fetch_split`]. The fused
+    /// Schwarz block update calls this with the hops that leave the
+    /// domain: `A u = D_b u_b + (exterior hops)` on the domain's sites.
+    #[inline]
+    pub fn hops_with_halo_fetch_split<F: Fn(usize) -> Spinor<T>>(
+        &self,
+        site: usize,
+        hops: u8,
+        fetch: F,
+        halo: &HaloData<T>,
+        split: [bool; 4],
+    ) -> Spinor<T> {
+        let mut acc = Spinor::ZERO;
+        self.accumulate_hops(&mut acc, site, hops, &fetch, halo, split);
+        acc
+    }
+
+    #[inline(always)]
+    fn accumulate_hops<F: Fn(usize) -> Spinor<T>>(
+        &self,
+        acc: &mut Spinor<T>,
+        site: usize,
+        hops: u8,
+        fetch: &F,
+        halo: &HaloData<T>,
+        split: [bool; 4],
+    ) {
         let idx = &self.indexer;
         let x = idx.coord(site);
-        let center = fetch(site);
-        let mut acc = self.diag.site(site).apply(&center);
         for dir in Dir::ALL {
-            let (fwd_idx, fwd_wrap) = idx.neighbor_index(&x, dir, true);
-            if fwd_wrap && split[dir.index()] {
-                self.hop_accumulate_halo(&mut acc, site, dir, true, halo.at(dir, true, &x));
-            } else {
-                self.hop_accumulate_fwd(&mut acc, site, dir, &fetch(fwd_idx), fwd_wrap);
+            if hops & hop_bit(dir, true) != 0 {
+                let (fwd_idx, fwd_wrap) = idx.neighbor_index(&x, dir, true);
+                if fwd_wrap && split[dir.index()] {
+                    self.hop_accumulate_halo(acc, site, dir, true, halo.at(dir, true, &x));
+                } else {
+                    self.hop_accumulate_fwd(acc, site, dir, &fetch(fwd_idx), fwd_wrap);
+                }
             }
-            let (bwd_idx, bwd_wrap) = idx.neighbor_index(&x, dir, false);
-            if bwd_wrap && split[dir.index()] {
-                self.hop_accumulate_halo(&mut acc, site, dir, false, halo.at(dir, false, &x));
-            } else {
-                self.hop_accumulate_bwd(&mut acc, bwd_idx, dir, &fetch(bwd_idx), bwd_wrap);
+            if hops & hop_bit(dir, false) != 0 {
+                let (bwd_idx, bwd_wrap) = idx.neighbor_index(&x, dir, false);
+                if bwd_wrap && split[dir.index()] {
+                    self.hop_accumulate_halo(acc, site, dir, false, halo.at(dir, false, &x));
+                } else {
+                    self.hop_accumulate_bwd(acc, bwd_idx, dir, &fetch(bwd_idx), bwd_wrap);
+                }
             }
         }
-        acc
     }
 
     /// Apply the full operator on a single rank (periodic wrap-around with

@@ -14,7 +14,7 @@
 use crate::spinor::Spinor;
 use qdd_lattice::{Dims, Parity, SiteIndexer, TileLayout};
 use qdd_util::complex::{Complex, Real};
-use qdd_util::half::F16;
+use qdd_util::half::{f16_to_f32_lanes, f32_to_f16_lanes, F16};
 
 /// A fixed-width lane vector ("one SIMD register" of the model machine).
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -143,14 +143,14 @@ impl<const N: usize> VF16<N> {
     /// already-f16-rounded f32 field is bitwise lossless.
     #[inline]
     pub fn compress<T: Real>(v: &VReal<T, N>) -> Self {
-        VF16(std::array::from_fn(|i| F16::from_f32(v.0[i].to_f64() as f32)))
+        VF16(f32_to_f16_lanes(&v.0.map(|x| x.to_f64() as f32)))
     }
 
     /// Up-convert to a compute vector (exact: every finite f16 value is
     /// representable in both f32 and f64).
     #[inline(always)]
     pub fn decompress<T: Real>(&self) -> VReal<T, N> {
-        VReal(std::array::from_fn(|i| T::from_f64(self.0[i].to_f32() as f64)))
+        VReal(f16_to_f32_lanes(&self.0).map(|x| T::from_f64(x as f64)))
     }
 }
 
@@ -193,6 +193,17 @@ impl<T: Real, const N: usize> FusedField<T, N> {
     #[inline]
     pub fn tile_mut(&mut self, parity: Parity, tile: usize) -> &mut FusedTile<T, N> {
         &mut self.data[parity.index()][tile]
+    }
+
+    /// All tiles of one parity.
+    #[inline]
+    pub fn tiles(&self, parity: Parity) -> &[FusedTile<T, N>] {
+        &self.data[parity.index()]
+    }
+
+    #[inline]
+    pub fn tiles_mut(&mut self, parity: Parity) -> &mut [FusedTile<T, N>] {
+        &mut self.data[parity.index()]
     }
 
     /// Both parities' tile storage as disjoint mutable slices (even, odd),
