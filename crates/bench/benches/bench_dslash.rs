@@ -1,7 +1,8 @@
 //! Criterion bench: the block operator in scalar (AOS) versus site-fused
 //! (SOA tile) form — the ablation for the paper's data-layout choice
-//! (Sec. III-A). On a SIMD-capable host the fused form autovectorizes and
-//! wins; the ratio is the measurable value of the layout.
+//! (Sec. III-A). On a host with AVX2 + FMA or AVX-512 the fused form runs
+//! on explicit vector instructions (`qdd_field::lanes`) and wins; the ratio
+//! is the measurable value of the layout.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdd_bench::test_operator;

@@ -1,16 +1,20 @@
 //! Criterion bench: the MR block solve (Table II left column, as a real
 //! measured kernel) — the scalar AoS oracle beside the site-fused solver
 //! the Schwarz sweep runs, on the benchmark's 4^4 block and the paper's
-//! 8x4^3, f32, with and without f16 iteration vectors; Idomain = 5.
+//! 8x4^3, f32, with and without f16 iteration vectors; Idomain = 5 — and
+//! the three fused kernels a Schur application is made of (`hop`,
+//! `apply_diag`, `apply_schur`), so a kernel that falls off the vector
+//! path shows up in the row it falls off in.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdd_bench::test_operator;
 use qdd_core::mr::{mr_solve_fused, mr_solve_schur, MrConfig};
 use qdd_dirac::block::{DomainFields, SchurOperator};
-use qdd_dirac::fused::{fused_from_cb, FusedSchur};
+use qdd_dirac::fused::{fused_from_cb, FusedClover, FusedGauge, FusedKernel, FusedSchur};
+use qdd_dirac::wilson::{CLOVER_FLOPS_PER_SITE, DW_FLOPS_PER_SITE, TOTAL_FLOPS_PER_SITE};
 use qdd_field::fused::FusedField;
 use qdd_field::spinor::Spinor;
-use qdd_lattice::{Dims, DomainGrid};
+use qdd_lattice::{Dims, DomainGrid, Parity};
 use qdd_util::rng::Rng64;
 use std::hint::black_box;
 
@@ -70,6 +74,35 @@ fn bench_block<const N: usize>(c: &mut Criterion, block: Dims) {
             })
         });
     }
+    group.finish();
+
+    // The kernels of one Schur application, each on one parity of the
+    // block: nominal flops per output site of the half-volume.
+    let kernel = FusedKernel::<f32, N>::new(block);
+    let gauge = FusedGauge::<f32, N>::gather(&op, &domain);
+    let clover = FusedClover::<f32, N>::gather(&op, &domain);
+    let mut group = c.benchmark_group(&format!("block_kernels_{block}"));
+    group.throughput(criterion::Throughput::Elements(DW_FLOPS_PER_SITE as u64 * n as u64));
+    group.bench_function("hop", |b| {
+        b.iter(|| {
+            kernel.hop(&mut fq, black_box(&frhs), &gauge, Parity::Even);
+            black_box(&mut fq);
+        })
+    });
+    group.throughput(criterion::Throughput::Elements(CLOVER_FLOPS_PER_SITE as u64 * n as u64));
+    group.bench_function("apply_diag", |b| {
+        b.iter(|| {
+            kernel.apply_diag(&mut fq, black_box(&frhs), &clover, Parity::Even);
+            black_box(&mut fq);
+        })
+    });
+    group.throughput(criterion::Throughput::Elements(TOTAL_FLOPS_PER_SITE as u64 * 2 * n as u64));
+    group.bench_function("apply_schur", |b| {
+        b.iter(|| {
+            fschur.apply_schur(&mut fq, black_box(&frhs), &mut s1, &mut s2);
+            black_box(&mut fq);
+        })
+    });
     group.finish();
 }
 

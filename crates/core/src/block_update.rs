@@ -20,7 +20,7 @@
 
 use crate::mr::{mr_solve_fused, mr_solve_schur, MrConfig};
 use qdd_dirac::block::{DomainFields, SchurOperator};
-use qdd_dirac::fused::{BlockSites, FusedSchur};
+use qdd_dirac::fused::{BlockSites, FusedKernel, FusedSchur};
 use qdd_dirac::wilson::{WilsonClover, TOTAL_FLOPS_PER_SITE};
 use qdd_field::fields::SpinorField;
 use qdd_field::fused::FusedField;
@@ -28,6 +28,7 @@ use qdd_field::halo::HaloData;
 use qdd_field::spinor::Spinor;
 use qdd_lattice::{Dir, DomainGrid, Parity};
 use qdd_util::complex::Real;
+use std::sync::Arc;
 
 /// How an update reads the iterate: sites of the local lattice through
 /// `fetch`, sites across a split rank boundary from `halo`.
@@ -108,9 +109,11 @@ struct FusedKernels<T: Real, const N: usize> {
 impl<T: Real, const N: usize> FusedKernels<T, N> {
     fn new(op: &WilsonClover<T>, grid: &DomainGrid) -> Option<Self> {
         let sites = BlockSites::new(*grid.lattice(), *grid.block());
+        // One kernel (lane patterns, spin rules) per block shape.
+        let kernel = Arc::new(FusedKernel::new(*grid.block()));
         let domains = grid
             .domains()
-            .map(|d| Some((FusedSchur::new(op, &d)?, sites.base(&d))))
+            .map(|d| Some((FusedSchur::with_kernel(kernel.clone(), op, &d)?, sites.base(&d))))
             .collect::<Option<_>>()?;
         Some(Self { sites, domains })
     }
@@ -331,12 +334,15 @@ mod tests {
     }
 
     /// The fused update is the scalar update up to summation order: pinned
-    /// by a tolerance, never by `==`. Blocks with 4, 8, 8 and 16 lanes.
+    /// by a tolerance, never by `==`. Blocks with 4, 8 (square, 8x2 and
+    /// 2x8 cross-sections) and 16 lanes.
     #[test]
     fn fused_block_update_matches_scalar_oracle() {
         for block in [
             Dims::new(4, 2, 2, 2),
             Dims::new(4, 4, 2, 2),
+            Dims::new(8, 2, 2, 2),
+            Dims::new(2, 8, 2, 2),
             Dims::new(4, 4, 4, 4),
             Dims::new(8, 4, 4, 4),
         ] {

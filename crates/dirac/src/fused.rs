@@ -5,23 +5,32 @@
 //! links and clover blocks in matching per-tile SOA ([`FusedGauge`],
 //! [`FusedClover`]), and the Wilson hop runs on whole lanes:
 //!
-//! - z/t hops move tile-to-tile with no lane shuffling; hops crossing the
-//!   domain boundary are dropped wholesale (Dirichlet).
-//! - x/y hops permute lanes in-register using the patterns of
-//!   [`TileLayout::xy_neighbor`]; lanes whose neighbor lies outside the
-//!   domain are masked to zero (the paper's mask_add, Fig. 2) — costing
-//!   the documented 2/16 (x) and 4/16 (y) SIMD efficiency.
+//! - z/t hops move tile-to-tile with no lane shuffling; a hop crossing the
+//!   edge of the region is dropped wholesale (Dirichlet block) or reads
+//!   the opposite-edge tile, times the boundary phase (whole lattice).
+//! - x/y hops permute lanes in-register. The spin projection and the
+//!   colour multiply are lane-wise, so the permutation runs on the 12
+//!   half-spinor vectors, never on the 24 of the source or the 18 of a
+//!   link: a backward hop multiplies by the source site's link in source
+//!   lane order and brings `U^dag h` over. Lanes whose neighbour lies
+//!   outside a Dirichlet block are masked to zero (the paper's mask_add,
+//!   Fig. 2) — costing the documented 2/16 (x) and 4/16 (y) SIMD
+//!   efficiency; on the whole lattice they wrap with the boundary phase.
 //!
-//! Everything is validated lane-for-lane against the scalar
+//! One tile body, [`FusedKernel::hop_tile`], serves the block kernel here
+//! and the full-lattice operator in [`crate::fused_full`]. Everything is
+//! validated lane-for-lane against the scalar
 //! [`SchurOperator`](crate::block::SchurOperator) path.
 
 use crate::gamma::GammaBasis;
-use crate::wilson::WilsonClover;
+use crate::wilson::{BoundaryPhases, WilsonClover};
 use qdd_field::clover::CloverSite;
 use qdd_field::fused::{FusedField, FusedTile, VReal, VF16};
+use qdd_field::lanes::LaneMask;
 use qdd_field::spinor::Spinor;
-use qdd_lattice::{Coord, Dims, Dir, Domain, LaneSrc, Parity, SiteIndexer, TileLayout};
+use qdd_lattice::{Coord, Dims, Dir, Domain, Parity, SiteIndexer, TileLayout};
 use qdd_util::complex::{Complex, Real, C64};
+use std::sync::Arc;
 
 /// `R` lane vectors of constants of one tile, packed: a row is exactly `N`
 /// scalars, and the *tile* — not each row — is cache-line aligned. Rows of
@@ -65,15 +74,6 @@ impl<T: Real, const N: usize> GaugeVecs<T, N> for GaugeTile<T, N> {
     #[inline(always)]
     fn vec(&self, k: usize) -> VReal<T, N> {
         Rows::vec(self, k)
-    }
-}
-
-/// Links already in registers (the lane-permuted source-site links of the
-/// block kernel's backward x/y hop).
-impl<T: Real, const N: usize> GaugeVecs<T, N> for [VReal<T, N>; 18] {
-    #[inline(always)]
-    fn vec(&self, k: usize) -> VReal<T, N> {
-        self[k]
     }
 }
 
@@ -213,11 +213,6 @@ impl<T: Real, const N: usize> FusedGauge<T, N> {
         });
         Self { data: data.expect("every site has links") }
     }
-
-    #[inline]
-    pub(crate) fn tile(&self, parity: Parity, tile: usize, dir: Dir) -> &GaugeTile<T, N> {
-        &self.data[parity.index()][tile][dir.index()]
-    }
 }
 
 /// Per-domain clover + mass diagonal in fused layout: for each chirality,
@@ -297,11 +292,6 @@ impl<const N: usize> FusedGaugeF16<N> {
         });
         Self { data }
     }
-
-    #[inline]
-    pub(crate) fn tile(&self, parity: Parity, tile: usize, dir: Dir) -> &GaugeTileF16<N> {
-        &self.data[parity.index()][tile][dir.index()]
-    }
 }
 
 /// Compressed counterpart of [`FusedClover`]: f16 off-diagonals, native
@@ -329,69 +319,195 @@ impl<T: Real, const N: usize> FusedCloverHalf<T, N> {
     }
 }
 
-/// Permutation pattern for one (flavor, parity, dir, orientation): source
-/// lane table plus the boundary mask (false = neighbor outside block).
-#[derive(Clone)]
-struct Pattern<const N: usize> {
-    table: [usize; N],
-    mask: [bool; N],
-    /// True if any lane survives (x/y always; z/t handled separately).
-    any: bool,
+/// `[parity][tile][dir]` access to a gauge container's tiles — what the
+/// hop body needs of the native and the compressed storage alike.
+pub(crate) trait GaugeTiles<T: Real, const N: usize>: Sync {
+    type Tile: GaugeVecs<T, N>;
+    fn tile(&self, parity: Parity, tile: usize, dir: Dir) -> &Self::Tile;
 }
 
-/// Precomputed patterns and rules for the fused kernel of one block shape.
-pub struct FusedKernel<T: Real, const N: usize> {
-    layout: TileLayout,
-    basis: GammaBasis,
-    /// `[flavor][parity][dir(0..2 = x,y)][fwd]`.
-    xy: Vec<Pattern<N>>,
-    _marker: std::marker::PhantomData<T>,
-}
+impl<T: Real, const N: usize> GaugeTiles<T, N> for FusedGauge<T, N> {
+    type Tile = GaugeTile<T, N>;
 
-#[inline]
-pub(crate) fn xy_idx(flavor: usize, parity: Parity, dir: usize, fwd: usize) -> usize {
-    ((flavor * 2 + parity.index()) * 2 + dir) * 2 + fwd
-}
-
-/// Accumulate `dst += coef * src` where `coef` is `+-1` or `+-i`
-/// (complex, lane-wise on split re/im vectors).
-#[inline(always)]
-fn acc_unit<T: Real, const N: usize>(
-    dst_re: &mut VReal<T, N>,
-    dst_im: &mut VReal<T, N>,
-    src_re: VReal<T, N>,
-    src_im: VReal<T, N>,
-    coef: C64,
-) {
-    if coef.im == 0.0 {
-        if coef.re >= 0.0 {
-            *dst_re = dst_re.add(src_re);
-            *dst_im = dst_im.add(src_im);
-        } else {
-            *dst_re = dst_re.sub(src_re);
-            *dst_im = dst_im.sub(src_im);
-        }
-    } else if coef.im > 0.0 {
-        // * i: (re, im) -> (-im, re)
-        *dst_re = dst_re.sub(src_im);
-        *dst_im = dst_im.add(src_re);
-    } else {
-        // * -i
-        *dst_re = dst_re.add(src_im);
-        *dst_im = dst_im.sub(src_re);
+    #[inline(always)]
+    fn tile(&self, parity: Parity, tile: usize, dir: Dir) -> &GaugeTile<T, N> {
+        &self.data[parity.index()][tile][dir.index()]
     }
 }
 
-/// `dst += s * src` for a real lane-invariant scalar.
-#[inline(always)]
-fn acc_scaled<T: Real, const N: usize>(dst: &mut VReal<T, N>, src: VReal<T, N>, s: T) {
-    *dst = dst.fma(src, VReal::splat(s));
+impl<T: Real, const N: usize> GaugeTiles<T, N> for FusedGaugeF16<N> {
+    type Tile = GaugeTileF16<N>;
+
+    #[inline(always)]
+    fn tile(&self, parity: Parity, tile: usize, dir: Dir) -> &GaugeTileF16<N> {
+        &self.data[parity.index()][tile][dir.index()]
+    }
 }
 
-pub(crate) type Half<T, const N: usize> = [[VReal<T, N>; 2]; 6]; // 6 complex (2 spin x 3 color), [re, im]
+/// What becomes of the lanes of an x/y hop whose neighbour lies across
+/// the edge of the cross-section.
+enum Edge<T: Real, const N: usize> {
+    /// Dirichlet block: they are dropped (masked to zero).
+    Drop(LaneMask<N>),
+    /// Whole lattice: they wrap, and every lane arrives unchanged.
+    Wrap,
+    /// Whole lattice with a boundary phase other than `+1`: the wrapping
+    /// lanes pick it up, the others `1`.
+    Phase(VReal<T, N>),
+}
+
+/// The lane movement of one x/y hop for one (flavor, destination parity).
+struct XyHop<T: Real, const N: usize> {
+    /// Destination lane -> source lane.
+    table: [u32; N],
+    edge: Edge<T, N>,
+}
+
+impl<T: Real, const N: usize> XyHop<T, N> {
+    fn new(
+        layout: &TileLayout,
+        wrap: Option<&BoundaryPhases>,
+        flavor: usize,
+        to: Parity,
+        dir: Dir,
+        fwd: bool,
+    ) -> Self {
+        let extent = layout.block()[dir];
+        let mut table = [0u32; N];
+        let mut crosses = [false; N];
+        for lane in 0..N {
+            let (x, y) = layout.lane_site(flavor, to, lane);
+            let c = if dir == Dir::X { x } else { y };
+            crosses[lane] = if fwd { c + 1 == extent } else { c == 0 };
+            let nc = (c + if fwd { 1 } else { extent - 1 }) % extent;
+            let (sx, sy) = if dir == Dir::X { (nc, y) } else { (x, nc) };
+            let (parity, src) = layout.site_lane(flavor, sx, sy);
+            // A dropped lane's entry is never read; every other hop flips
+            // parity (a wrap too: the extents of a wrapping lattice are even).
+            debug_assert!(parity == to.flip() || (crosses[lane] && wrap.is_none()));
+            table[lane] = src as u32;
+        }
+        let edge = match wrap.map(|phases| phases.of(dir)) {
+            None => Edge::Drop(LaneMask::from_fn(|lane| !crosses[lane])),
+            Some(phase) if phase != 1.0 && crosses.contains(&true) => {
+                Edge::Phase(VReal::from_fn(|lane| {
+                    T::from_f64(if crosses[lane] { phase } else { 1.0 })
+                }))
+            }
+            Some(_) => Edge::Wrap,
+        };
+        Self { table, edge }
+    }
+
+    /// Bring a source-lane-order vector into destination lane order.
+    #[inline(always)]
+    fn bring(&self, v: &VReal<T, N>) -> VReal<T, N> {
+        let v = v.permute(&self.table);
+        match &self.edge {
+            Edge::Drop(keep) => v.masked(keep),
+            Edge::Wrap => v,
+            Edge::Phase(sign) => v.mul(*sign),
+        }
+    }
+}
+
+/// A unit-modulus spin coefficient.
+#[derive(Copy, Clone)]
+enum Unit {
+    One,
+    MinusOne,
+    I,
+    MinusI,
+}
+
+impl Unit {
+    fn of(coef: C64) -> Self {
+        match (coef.re, coef.im) {
+            (1.0, 0.0) => Unit::One,
+            (-1.0, 0.0) => Unit::MinusOne,
+            (0.0, 1.0) => Unit::I,
+            (0.0, -1.0) => Unit::MinusI,
+            _ => panic!("spin coefficient {coef:?} is not a fourth root of unity"),
+        }
+    }
+}
+
+/// How half-spinor spin row `src` feeds output spin row 2 or 3 of
+/// `-1/2 recon`: `out.re += f_re * (swap ? h.im : h.re)` and
+/// `out.im += f_im * (swap ? h.re : h.im)`.
+#[derive(Copy, Clone)]
+struct ReconRow<T> {
+    src: usize,
+    swap: bool,
+    f_re: T,
+    f_im: T,
+}
+
+/// The spin structure of one `(1 +- gamma_mu)` hop, resolved once.
+#[derive(Copy, Clone)]
+struct SpinRule<T> {
+    /// `h_s = psi_s + unit * psi_src` for the two projected spin rows.
+    proj: [(usize, Unit); 2],
+    recon: [ReconRow<T>; 2],
+}
+
+impl<T: Real> SpinRule<T> {
+    fn new(basis: &GammaBasis, dir: Dir, plus: bool) -> Self {
+        let gamma = &basis.gamma[dir.index()];
+        let recon = gamma.recon_rule(plus).map(|(src, coef)| {
+            // coef is +-1 or +-i; the -1/2 of the hop is folded in.
+            let c = coef.scale(-0.5);
+            let (swap, f_re, f_im) =
+                if c.im == 0.0 { (false, c.re, c.re) } else { (true, -c.im, c.im) };
+            ReconRow { src, swap, f_re: T::from_f64(f_re), f_im: T::from_f64(f_im) }
+        });
+        Self { proj: gamma.proj_rule(plus).map(|(src, coef)| (src, Unit::of(coef))), recon }
+    }
+}
+
+/// The fused hop kernel of one region shape — a Dirichlet block or the
+/// whole local lattice: lane patterns and spin rules, precomputed.
+pub struct FusedKernel<T: Real, const N: usize> {
+    layout: TileLayout,
+    /// `[flavor][dest parity][dir(0..2 = x,y)][fwd]`.
+    xy: Vec<XyHop<T, N>>,
+    /// Whole lattice: the phase (if not `+1`) of a wrapping z / t hop.
+    /// `None` for a Dirichlet block, whose crossing hops are dropped.
+    zt_wrap: Option<[Option<T>; 2]>,
+    /// `[dir][plus]`.
+    spin: [[SpinRule<T>; 2]; 4],
+}
+
+#[inline]
+fn xy_idx(flavor: usize, parity: Parity, dir: usize, fwd: usize) -> usize {
+    ((flavor * 2 + parity.index()) * 2 + dir) * 2 + fwd
+}
+
+/// 6 complex (2 spin x 3 color), `[re, im]`.
+type Half<T, const N: usize> = [[VReal<T, N>; 2]; 6];
+
+#[inline(always)]
+fn scale_half<T: Real, const N: usize>(h: &mut Half<T, N>, s: T) {
+    for c in h.iter_mut() {
+        c[0] = c[0].scale(s);
+        c[1] = c[1].scale(s);
+    }
+}
 
 impl<T: Real, const N: usize> FusedKernel<T, N> {
+    /// The kernel of a Dirichlet block: hops leaving `block` are dropped.
     pub fn new(block: Dims) -> Self {
+        Self::with_boundary(block, None)
+    }
+
+    /// The kernel of a whole local lattice: hops leaving it wrap around
+    /// with the boundary phase of their direction. Every extent is even.
+    pub(crate) fn wrapping(dims: Dims, phases: &BoundaryPhases) -> Self {
+        assert!(dims.0.iter().all(|&e| e % 2 == 0), "a wrapping kernel needs even extents");
+        Self::with_boundary(dims, Some(phases))
+    }
+
+    fn with_boundary(block: Dims, wrap: Option<&BoundaryPhases>) -> Self {
         let layout = TileLayout::new(block);
         assert_eq!(layout.lanes(), N, "lane count mismatch");
         let mut xy = Vec::with_capacity(16);
@@ -399,27 +515,20 @@ impl<T: Real, const N: usize> FusedKernel<T, N> {
             for parity in [Parity::Even, Parity::Odd] {
                 for dir in [Dir::X, Dir::Y] {
                     for fwd in [false, true] {
-                        let pat = layout.xy_neighbor(flavor, parity, dir, fwd);
-                        let mut table = [0usize; N];
-                        let mut mask = [false; N];
-                        for (l, src) in pat.iter().enumerate() {
-                            match src {
-                                LaneSrc::Internal(s) => {
-                                    table[l] = *s;
-                                    mask[l] = true;
-                                }
-                                LaneSrc::Boundary(_) => {
-                                    table[l] = l;
-                                    mask[l] = false;
-                                }
-                            }
-                        }
-                        xy.push(Pattern { table, mask, any: mask.iter().any(|&b| b) });
+                        xy.push(XyHop::new(&layout, wrap, flavor, parity, dir, fwd));
                     }
                 }
             }
         }
-        Self { layout, basis: GammaBasis::degrand_rossi(), xy, _marker: std::marker::PhantomData }
+        let zt_wrap = wrap.map(|phases| {
+            [Dir::Z, Dir::T].map(|dir| {
+                let p = phases.of(dir);
+                (p != 1.0).then(|| T::from_f64(p))
+            })
+        });
+        let basis = GammaBasis::degrand_rossi();
+        let spin = Dir::ALL.map(|dir| [false, true].map(|plus| SpinRule::new(&basis, dir, plus)));
+        Self { layout, xy, zt_wrap, spin }
     }
 
     #[inline]
@@ -427,82 +536,47 @@ impl<T: Real, const N: usize> FusedKernel<T, N> {
         &self.layout
     }
 
-    /// Fetch a spinor tile with lanes permuted (and masked lanes zeroed).
+    /// Project `(1 + sign*gamma_mu)` on a tile.
     #[inline]
-    fn permuted_tile(src: &FusedTile<T, N>, pattern: &Pattern<N>) -> FusedTile<T, N> {
-        std::array::from_fn(|c| {
-            let permuted = src[c].permute(&pattern.table);
-            VReal::ZERO.masked_add(&pattern.mask, permuted)
-        })
-    }
-
-    /// Project `(1 + sign*gamma_mu)` on a (possibly permuted) tile.
-    #[inline]
-    pub(crate) fn project(&self, dir: Dir, plus: bool, tile: &FusedTile<T, N>) -> Half<T, N> {
-        let rule = self.basis.gamma[dir.index()].proj_rule(plus);
-        let mut h: Half<T, N> = std::array::from_fn(|_| [VReal::ZERO; 2]);
+    fn project(&self, dir: Dir, plus: bool, tile: &FusedTile<T, N>) -> Half<T, N> {
+        let rule = &self.spin[dir.index()][plus as usize].proj;
+        let mut h: Half<T, N> = [[VReal::ZERO; 2]; 6];
         for s in 0..2 {
-            let (src_spin, coef) = rule[s];
+            let (src_spin, unit) = rule[s];
             for c in 0..3 {
                 let k = 3 * s + c;
                 let base = 3 * src_spin + c;
-                let (mut re, mut im) = (tile[2 * k], tile[2 * k + 1]);
-                acc_unit(&mut re, &mut im, tile[2 * base], tile[2 * base + 1], coef);
-                h[k] = [re, im];
+                let (re, im) = (tile[2 * k], tile[2 * k + 1]);
+                let (b_re, b_im) = (tile[2 * base], tile[2 * base + 1]);
+                h[k] = match unit {
+                    Unit::One => [re.add(b_re), im.add(b_im)],
+                    Unit::MinusOne => [re.sub(b_re), im.sub(b_im)],
+                    // * i: (re, im) -> (-im, re)
+                    Unit::I => [re.sub(b_im), im.add(b_re)],
+                    Unit::MinusI => [re.add(b_im), im.sub(b_re)],
+                };
             }
         }
         h
     }
 
-    /// `out = U * h` (color multiply of both spin components). Generic
-    /// over the gauge storage: native tiles are read as-is, compressed
-    /// tiles up-convert lane-wise on load — the FMA chain is identical.
+    /// `out = U^dag * h` (color multiply of both spin components).
     #[inline]
-    pub(crate) fn su3_mul<G: GaugeVecs<T, N>>(g: &G, h: &Half<T, N>) -> Half<T, N> {
-        let mut out: Half<T, N> = std::array::from_fn(|_| [VReal::ZERO; 2]);
+    fn su3_adj_mul<G: GaugeVecs<T, N>>(g: &G, h: &Half<T, N>) -> Half<T, N> {
+        let mut out: Half<T, N> = [[VReal::ZERO; 2]; 6];
         for s in 0..2 {
             for i in 0..3 {
-                let (mut acc_re, mut acc_im) = (VReal::ZERO, VReal::ZERO);
-                for c in 0..3 {
-                    let u_re = g.vec(2 * (3 * i + c));
-                    let u_im = g.vec(2 * (3 * i + c) + 1);
-                    let h_re = h[3 * s + c][0];
-                    let h_im = h[3 * s + c][1];
-                    // acc += u * h
-                    acc_re = acc_re.fma(u_re, h_re).fms(u_im, h_im);
-                    acc_im = acc_im.fma(u_re, h_im).fma(u_im, h_re);
-                }
-                out[3 * s + i] = [acc_re, acc_im];
+                let (re, im) = Self::su3_row::<true, G>(g, h, s, i);
+                out[3 * s + i] = [re, im];
             }
         }
         out
     }
 
-    /// `out = U^dag * h`.
-    #[inline]
-    pub(crate) fn su3_adj_mul<G: GaugeVecs<T, N>>(g: &G, h: &Half<T, N>) -> Half<T, N> {
-        let mut out: Half<T, N> = std::array::from_fn(|_| [VReal::ZERO; 2]);
-        for s in 0..2 {
-            for i in 0..3 {
-                let (mut acc_re, mut acc_im) = (VReal::ZERO, VReal::ZERO);
-                for c in 0..3 {
-                    // conj(U[c][i]) * h[c]
-                    let u_re = g.vec(2 * (3 * c + i));
-                    let u_im = g.vec(2 * (3 * c + i) + 1);
-                    let h_re = h[3 * s + c][0];
-                    let h_im = h[3 * s + c][1];
-                    acc_re = acc_re.fma(u_re, h_re).fma(u_im, h_im);
-                    acc_im = acc_im.fma(u_re, h_im).fms(u_im, h_re);
-                }
-                out[3 * s + i] = [acc_re, acc_im];
-            }
-        }
-        out
-    }
-
-    /// One color row of `U h` (or `U^dag h` when `ADJ`) for spin `s`:
-    /// the three-term FMA chain of [`Self::su3_mul`] for a single output
-    /// component, returned in registers.
+    /// One color row of `U h` (or `U^dag h` when `ADJ`) for spin `s`: a
+    /// three-term FMA chain, returned in registers. Generic over the gauge
+    /// storage: native tiles are read as-is, compressed tiles up-convert
+    /// lane-wise on load — the FMA chain is identical.
     #[inline(always)]
     fn su3_row<const ADJ: bool, G: GaugeVecs<T, N>>(
         g: &G,
@@ -513,6 +587,7 @@ impl<T: Real, const N: usize> FusedKernel<T, N> {
         let (mut acc_re, mut acc_im) = (VReal::ZERO, VReal::ZERO);
         for c in 0..3 {
             let (u_re, u_im) = if ADJ {
+                // conj(U[c][i]) * h[c]
                 (g.vec(2 * (3 * c + i)), g.vec(2 * (3 * c + i) + 1))
             } else {
                 (g.vec(2 * (3 * i + c)), g.vec(2 * (3 * i + c) + 1))
@@ -530,38 +605,39 @@ impl<T: Real, const N: usize> FusedKernel<T, N> {
         (acc_re, acc_im)
     }
 
-    /// Accumulate one reconstructed component pair: the direct row `k`
-    /// (scaled by -1/2) and its partner row `kr` (scaled by `coef`, which
-    /// already carries the -1/2).
+    /// Reconstruct-and-accumulate `acc += -1/2 recon(w)`, the half-spinor
+    /// `w` handed over one component at a time by `comp(k)` — computed,
+    /// permuted or just read, in registers, and consumed by both output
+    /// rows it feeds. Each accumulator component gets exactly one FMA.
     #[inline(always)]
-    fn recon_pair(
+    fn recon_acc(
+        &self,
+        dir: Dir,
+        plus: bool,
         acc: &mut FusedTile<T, N>,
-        k: usize,
-        kr: usize,
-        coef: C64,
-        re: VReal<T, N>,
-        im: VReal<T, N>,
+        mut comp: impl FnMut(usize) -> (VReal<T, N>, VReal<T, N>),
     ) {
-        let m_half = T::from_f64(-0.5);
-        acc_scaled(&mut acc[2 * k], re, m_half);
-        acc_scaled(&mut acc[2 * k + 1], im, m_half);
-        if coef.im == 0.0 {
-            acc_scaled(&mut acc[2 * kr], re, T::from_f64(coef.re));
-            acc_scaled(&mut acc[2 * kr + 1], im, T::from_f64(coef.re));
-        } else {
-            acc_scaled(&mut acc[2 * kr], im, T::from_f64(-coef.im));
-            acc_scaled(&mut acc[2 * kr + 1], re, T::from_f64(coef.im));
+        let m_half = VReal::splat(T::from_f64(-0.5));
+        // The two source spins are a permutation of {0, 1}, so iterating
+        // the rule covers every component of `w` exactly once.
+        for (s_out, row) in self.spin[dir.index()][plus as usize].recon.iter().enumerate() {
+            for i in 0..3 {
+                let (k, kr) = (3 * row.src + i, 3 * (2 + s_out) + i);
+                let (re, im) = comp(k);
+                acc[2 * k] = acc[2 * k].fma(re, m_half);
+                acc[2 * k + 1] = acc[2 * k + 1].fma(im, m_half);
+                let (a, b) = if row.swap { (im, re) } else { (re, im) };
+                acc[2 * kr] = acc[2 * kr].fma(a, VReal::splat(row.f_re));
+                acc[2 * kr + 1] = acc[2 * kr + 1].fma(b, VReal::splat(row.f_im));
+            }
         }
     }
 
     /// Fused color-multiply + reconstruct: `acc += -1/2 recon(U h)` (or
     /// `U^dag h` when `adj`) without materializing the intermediate
-    /// half-spinor — each `U h` component is computed in registers and
-    /// consumed by both rows it feeds. Performs the exact FMA sequences of
-    /// [`Self::su3_mul`]/[`Self::su3_adj_mul`] followed by
-    /// [`Self::reconstruct_acc`], so results are bitwise identical.
+    /// half-spinor.
     #[inline]
-    pub(crate) fn su3_recon_acc<G: GaugeVecs<T, N>>(
+    fn su3_recon_acc<G: GaugeVecs<T, N>>(
         &self,
         dir: Dir,
         plus: bool,
@@ -570,85 +646,85 @@ impl<T: Real, const N: usize> FusedKernel<T, N> {
         h: &Half<T, N>,
         acc: &mut FusedTile<T, N>,
     ) {
-        let rule = self.basis.gamma[dir.index()].recon_rule(plus);
-        // rule maps output rows 2+s to source spin rule[s].0; the two
-        // source spins are a permutation of {0, 1}, so iterating the rule
-        // covers every `U h` component exactly once.
-        for (s_out, &(sp, coef)) in rule.iter().enumerate() {
-            let coef = coef.scale(-0.5);
-            for i in 0..3 {
-                let (re, im) = if adj {
-                    Self::su3_row::<true, G>(g, h, sp, i)
-                } else {
-                    Self::su3_row::<false, G>(g, h, sp, i)
-                };
-                Self::recon_pair(acc, 3 * sp + i, 3 * (2 + s_out) + i, coef, re, im);
-            }
+        if adj {
+            self.recon_acc(dir, plus, acc, |k| Self::su3_row::<true, G>(g, h, k / 3, k % 3));
+        } else {
+            self.recon_acc(dir, plus, acc, |k| Self::su3_row::<false, G>(g, h, k / 3, k % 3));
         }
     }
 
-    /// Reconstruct-and-accumulate with the half-spinor read through a lane
-    /// permutation (and optional per-lane sign): the backward-hop epilogue
-    /// of the full-lattice kernel, where `U^dag h` is computed in source
-    /// lane order and permuted on consumption instead of materialized.
-    #[inline]
-    pub(crate) fn reconstruct_acc_permuted(
+    /// Where the z (`di = 0`) or t (`di = 1`) hop from `coord` reads: the
+    /// neighbour's coordinate and the phase it picks up, or `None` when
+    /// the hop leaves a Dirichlet block.
+    #[inline(always)]
+    fn zt_source(
         &self,
-        dir: Dir,
-        plus: bool,
-        h: &Half<T, N>,
-        table: &[usize; N],
-        sign: Option<&VReal<T, N>>,
-        acc: &mut FusedTile<T, N>,
-    ) {
-        let rule = self.basis.gamma[dir.index()].recon_rule(plus);
-        for (s_out, &(sp, coef)) in rule.iter().enumerate() {
-            let coef = coef.scale(-0.5);
-            for i in 0..3 {
-                let k = 3 * sp + i;
-                let mut re = h[k][0].permute(table);
-                let mut im = h[k][1].permute(table);
-                if let Some(s) = sign {
-                    re = re.mul(*s);
-                    im = im.mul(*s);
-                }
-                Self::recon_pair(acc, k, 3 * (2 + s_out) + i, coef, re, im);
-            }
+        di: usize,
+        coord: usize,
+        extent: usize,
+        fwd: bool,
+    ) -> Option<(usize, Option<T>)> {
+        let crosses = if fwd { coord + 1 == extent } else { coord == 0 };
+        if !crosses {
+            return Some((if fwd { coord + 1 } else { coord - 1 }, None));
         }
+        let phases = self.zt_wrap.as_ref()?;
+        Some((if fwd { 0 } else { extent - 1 }, phases[di]))
     }
 
-    /// Reconstruct-and-accumulate `acc += -1/2 * recon(h)`.
+    /// The hop body of one output tile: `acc += (-1/2 Dw inp)(tile)` on
+    /// parity `to`, all eight hops in a fixed order.
     #[inline]
-    pub(crate) fn reconstruct_acc(
+    pub(crate) fn hop_tile<G: GaugeTiles<T, N>>(
         &self,
-        dir: Dir,
-        plus: bool,
-        h: &Half<T, N>,
         acc: &mut FusedTile<T, N>,
+        inp: &FusedField<T, N>,
+        gauge: &G,
+        tile: usize,
+        to: Parity,
     ) {
-        let m_half = T::from_f64(-0.5);
-        // Rows 0, 1 directly.
-        for k in 0..6 {
-            acc_scaled(&mut acc[2 * k], h[k][0], m_half);
-            acc_scaled(&mut acc[2 * k + 1], h[k][1], m_half);
+        let from = to.flip();
+        let flavor = self.layout.flavor(tile);
+        let (tz, tt) = self.layout.tile_coords(tile);
+        let block = *self.layout.block();
+
+        // x and y hops: lane permutations within the same (z, t) slice,
+        // applied to half-spinors.
+        let src = inp.tile(from, tile);
+        for (di, dir) in [Dir::X, Dir::Y].into_iter().enumerate() {
+            // (1 + gamma) U^dag(x-mu) psi(x-mu): the link lives at the
+            // source site, so project and multiply in source lane order and
+            // bring `U^dag h` over as the reconstruction consumes it.
+            let pat = &self.xy[xy_idx(flavor, to, di, 0)];
+            let h = self.project(dir, true, src);
+            let uh = Self::su3_adj_mul(gauge.tile(from, tile, dir), &h);
+            self.recon_acc(dir, true, acc, |k| (pat.bring(&uh[k][0]), pat.bring(&uh[k][1])));
+            // (1 - gamma) U(x) psi(x+mu)
+            let pat = &self.xy[xy_idx(flavor, to, di, 1)];
+            let h = self.project(dir, false, src);
+            let h: Half<T, N> = std::array::from_fn(|k| [pat.bring(&h[k][0]), pat.bring(&h[k][1])]);
+            self.su3_recon_acc(dir, false, false, gauge.tile(to, tile, dir), &h, acc);
         }
-        // Rows 2, 3 from the rule.
-        let rule = self.basis.gamma[dir.index()].recon_rule(plus);
-        for s in 0..2 {
-            let (src_spin, coef) = rule[s];
-            let coef = coef.scale(-0.5);
-            for c in 0..3 {
-                let k = 3 * (2 + s) + c;
-                let base = 3 * src_spin + c;
-                // acc[k] += coef * h[base]; coef is +-1/2 or +-i/2.
-                let (re, im) = (h[base][0], h[base][1]);
-                if coef.im == 0.0 {
-                    acc_scaled(&mut acc[2 * k], re, T::from_f64(coef.re));
-                    acc_scaled(&mut acc[2 * k + 1], im, T::from_f64(coef.re));
-                } else {
-                    acc_scaled(&mut acc[2 * k], im, T::from_f64(-coef.im));
-                    acc_scaled(&mut acc[2 * k + 1], re, T::from_f64(coef.im));
+
+        // z and t hops: tile-to-tile, no shuffles.
+        for (di, dir) in [Dir::Z, Dir::T].into_iter().enumerate() {
+            let tile_at =
+                |c| if di == 0 { self.layout.tile_of(c, tt) } else { self.layout.tile_of(tz, c) };
+            let (coord, extent) = (if di == 0 { tz } else { tt }, block[dir]);
+            if let Some((nc, phase)) = self.zt_source(di, coord, extent, true) {
+                let mut h = self.project(dir, false, inp.tile(from, tile_at(nc)));
+                if let Some(p) = phase {
+                    scale_half(&mut h, p);
                 }
+                self.su3_recon_acc(dir, false, false, gauge.tile(to, tile, dir), &h, acc);
+            }
+            if let Some((pc, phase)) = self.zt_source(di, coord, extent, false) {
+                let ptile = tile_at(pc);
+                let mut h = self.project(dir, true, inp.tile(from, ptile));
+                if let Some(p) = phase {
+                    scale_half(&mut h, p);
+                }
+                self.su3_recon_acc(dir, true, true, gauge.tile(from, ptile, dir), &h, acc);
             }
         }
     }
@@ -664,69 +740,10 @@ impl<T: Real, const N: usize> FusedKernel<T, N> {
         from: Parity,
     ) {
         let to = from.flip();
-        let block = *self.layout.block();
-        let (bz, bt) = (block[Dir::Z], block[Dir::T]);
-        for tz in 0..bz {
-            for tt in 0..bt {
-                let tile = self.layout.tile_of(tz, tt);
-                let flavor = self.layout.flavor(tile);
-                let mut acc: FusedTile<T, N> = [VReal::ZERO; 24];
-
-                // x and y hops: permutations within the same (z, t) slice.
-                for (di, dir) in [Dir::X, Dir::Y].into_iter().enumerate() {
-                    for (fi, fwd) in [false, true].into_iter().enumerate() {
-                        let pat = &self.xy[xy_idx(flavor, to, di, fi)];
-                        if !pat.any {
-                            continue;
-                        }
-                        let src = Self::permuted_tile(inp.tile(from, tile), pat);
-                        if fwd {
-                            // (1 - gamma) U(x) psi(x+mu)
-                            let h = self.project(dir, false, &src);
-                            let uh = Self::su3_mul(gauge.tile(to, tile, dir), &h);
-                            self.reconstruct_acc(dir, false, &uh, &mut acc);
-                        } else {
-                            // (1 + gamma) U^dag(x-mu) psi(x-mu): the link
-                            // lives at the source site -> permute it too.
-                            let g_src: [VReal<T, N>; 18] = std::array::from_fn(|c| {
-                                gauge.tile(from, tile, dir).vec(c).permute(&pat.table)
-                            });
-                            let h = self.project(dir, true, &src);
-                            let uh = Self::su3_adj_mul(&g_src, &h);
-                            self.reconstruct_acc(dir, true, &uh, &mut acc);
-                        }
-                    }
-                }
-
-                // z and t hops: tile-to-tile, no shuffles; drop hops that
-                // cross the block boundary.
-                for (dir, coord, extent) in [(Dir::Z, tz, bz), (Dir::T, tt, bt)] {
-                    // Forward.
-                    if coord + 1 < extent {
-                        let ntile = match dir {
-                            Dir::Z => self.layout.tile_of(tz + 1, tt),
-                            _ => self.layout.tile_of(tz, tt + 1),
-                        };
-                        let src = inp.tile(from, ntile);
-                        let h = self.project(dir, false, src);
-                        let uh = Self::su3_mul(gauge.tile(to, tile, dir), &h);
-                        self.reconstruct_acc(dir, false, &uh, &mut acc);
-                    }
-                    // Backward.
-                    if coord > 0 {
-                        let ntile = match dir {
-                            Dir::Z => self.layout.tile_of(tz - 1, tt),
-                            _ => self.layout.tile_of(tz, tt - 1),
-                        };
-                        let src = inp.tile(from, ntile);
-                        let h = self.project(dir, true, src);
-                        let uh = Self::su3_adj_mul(gauge.tile(from, ntile, dir), &h);
-                        self.reconstruct_acc(dir, true, &uh, &mut acc);
-                    }
-                }
-
-                *out.tile_mut(to, tile) = acc;
-            }
+        for tile in 0..self.layout.tiles_per_parity() {
+            let mut acc: FusedTile<T, N> = [VReal::ZERO; 24];
+            self.hop_tile(&mut acc, inp, gauge, tile, to);
+            *out.tile_mut(to, tile) = acc;
         }
     }
 
@@ -775,7 +792,8 @@ impl<T: Real, const N: usize> FusedKernel<T, N> {
 /// The fused even-odd Schur complement of one domain:
 /// `D~ee = Dee - Deo Doo^-1 Doe` entirely on tile vectors.
 pub struct FusedSchur<T: Real, const N: usize> {
-    kernel: FusedKernel<T, N>,
+    /// Shared by every domain of one block shape.
+    kernel: Arc<FusedKernel<T, N>>,
     gauge: FusedGauge<T, N>,
     /// `(Nd+m) + Dcl` in fused form.
     diag: FusedClover<T, N>,
@@ -787,8 +805,18 @@ impl<T: Real, const N: usize> FusedSchur<T, N> {
     /// Assemble from the whole-lattice operator and a domain; each site
     /// diagonal is inverted once. Returns `None` when one is singular.
     pub fn new(op: &WilsonClover<T>, domain: &Domain) -> Option<Self> {
+        Self::with_kernel(Arc::new(FusedKernel::new(domain.dims)), op, domain)
+    }
+
+    /// [`Self::new`] on a kernel built once for the block shape.
+    pub fn with_kernel(
+        kernel: Arc<FusedKernel<T, N>>,
+        op: &WilsonClover<T>,
+        domain: &Domain,
+    ) -> Option<Self> {
+        assert_eq!(kernel.layout.block(), &domain.dims, "kernel built for another block shape");
         Some(Self {
-            kernel: FusedKernel::new(domain.dims),
+            kernel,
             gauge: FusedGauge::gather(op, domain),
             diag: FusedClover::gather(op, domain),
             diag_inv: FusedClover::gather_inverse(op, domain)?,
@@ -1131,6 +1159,14 @@ mod tests {
     #[test]
     fn fused_block_operator_matches_scalar_8_lanes() {
         check_fused_matches_scalar::<8>(Dims::new(4, 4, 2, 2));
+    }
+
+    /// Non-square cross-sections: the x and y tables differ in shape, and
+    /// a 2-wide extent makes the forward and backward neighbour coincide.
+    #[test]
+    fn fused_block_operator_matches_scalar_non_square_cross_sections() {
+        check_fused_matches_scalar::<8>(Dims::new(8, 2, 2, 2));
+        check_fused_matches_scalar::<8>(Dims::new(2, 8, 2, 2));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The site-fused SIMD operator extended from Dirichlet domain interiors
 //! (paper Sec. III-A, [`crate::fused`]) to the **full local lattice** with
 //! wrapping boundaries and boundary phases, so the outer Krylov matvec
-//! runs the same lane kernel as the Schwarz blocks.
+//! runs the same lane kernel as the Schwarz blocks: the tile body is
+//! [`FusedKernel::hop_tile`], built with wrapping instead of Dirichlet
+//! edges.
 //!
 //! Key observations that make the full-lattice kernel mask-free:
 //!
@@ -22,13 +24,12 @@
 //! returns `None` otherwise and callers keep the scalar path.
 
 use crate::fused::{
-    clover_apply_tile, xy_idx, CloverTile, CloverTileHalf, CloverVecs, FusedClover,
-    FusedCloverHalf, FusedGauge, FusedGaugeF16, FusedKernel, GaugeTile, GaugeTileF16, GaugeVecs,
-    Half,
+    clover_apply_tile, CloverTile, CloverTileHalf, CloverVecs, FusedClover, FusedCloverHalf,
+    FusedGauge, FusedGaugeF16, FusedKernel, GaugeTile, GaugeTileF16, GaugeTiles,
 };
 use crate::wilson::WilsonClover;
 use qdd_field::fields::SpinorField;
-use qdd_field::fused::{FusedField, FusedTile, VReal};
+use qdd_field::fused::{FusedField, FusedTile};
 use qdd_field::spinor::Spinor;
 use qdd_lattice::{Coord, Dims, Dir, Domain, DomainColor, Parity, SiteIndexer, TileLayout};
 use qdd_util::complex::{Complex, Real};
@@ -200,14 +201,6 @@ pub fn build_full_operator_tuned<T: Real>(
     })
 }
 
-/// Lane permutation for one (flavor, dest-parity, x/y dir, orientation)
-/// on the full lattice: every lane is internal; `sign` carries per-lane
-/// boundary phases and is only present when the phase is not `+1`.
-struct WrapPattern<T: Real, const N: usize> {
-    table: [usize; N],
-    sign: Option<VReal<T, N>>,
-}
-
 /// A raw window onto the output sites / scratch tiles that workers write
 /// disjointly (each tile owns its sites). Private sibling of the solver
 /// layer's shared-slice helpers; the tile partition guarantees
@@ -277,9 +270,9 @@ impl JobBarrier {
 /// compressed paths share one (monomorphized) kernel body with the f16
 /// up-conversion fused into the loads.
 trait ConstStore<T: Real, const N: usize>: Sync {
-    type G: GaugeVecs<T, N>;
+    type G: GaugeTiles<T, N>;
     type C: CloverVecs<T, N>;
-    fn gauge(&self, p: Parity, tile: usize, dir: Dir) -> &Self::G;
+    fn gauge(&self) -> &Self::G;
     fn clover(&self, p: Parity, tile: usize) -> &Self::C;
 }
 
@@ -294,12 +287,12 @@ struct HalfConsts<T: Real, const N: usize> {
 }
 
 impl<T: Real, const N: usize> ConstStore<T, N> for NativeConsts<T, N> {
-    type G = GaugeTile<T, N>;
+    type G = FusedGauge<T, N>;
     type C = CloverTile<T, N>;
 
     #[inline(always)]
-    fn gauge(&self, p: Parity, tile: usize, dir: Dir) -> &GaugeTile<T, N> {
-        self.gauge.tile(p, tile, dir)
+    fn gauge(&self) -> &FusedGauge<T, N> {
+        &self.gauge
     }
 
     #[inline(always)]
@@ -309,12 +302,12 @@ impl<T: Real, const N: usize> ConstStore<T, N> for NativeConsts<T, N> {
 }
 
 impl<T: Real, const N: usize> ConstStore<T, N> for HalfConsts<T, N> {
-    type G = GaugeTileF16<N>;
+    type G = FusedGaugeF16<N>;
     type C = CloverTileHalf<T, N>;
 
     #[inline(always)]
-    fn gauge(&self, p: Parity, tile: usize, dir: Dir) -> &GaugeTileF16<N> {
-        self.gauge.tile(p, tile, dir)
+    fn gauge(&self) -> &FusedGaugeF16<N> {
+        &self.gauge
     }
 
     #[inline(always)]
@@ -342,10 +335,6 @@ pub struct FusedFullOperator<T: Real, const N: usize> {
     /// constants + spinors inside the configured L2 budget. Tiles own
     /// disjoint sites, so any order is bitwise-equivalent.
     order: Vec<u32>,
-    /// `[flavor][dest parity][dir(x,y)][fwd]` wrap-aware lane tables.
-    xy: Vec<WrapPattern<T, N>>,
-    /// Whole-tile boundary phase applied to wrapping z/t hops, if not +1.
-    zt_phase: [Option<T>; 4],
     /// `[parity][tile * N + lane] -> lattice site`, precomputed so
     /// gather/scatter never pays per-site coordinate arithmetic.
     site_map: [Vec<u32>; 2],
@@ -415,7 +404,7 @@ impl<T: Real, const N: usize> FusedFullOperator<T, N> {
             dims,
             color: DomainColor::Black,
         };
-        let kernel = FusedKernel::new(dims);
+        let kernel = FusedKernel::wrapping(dims, op.phases());
         let gauge = FusedGauge::gather(op, &whole);
         let clover = FusedClover::gather(op, &whole);
         let consts = match tuning.storage {
@@ -425,58 +414,6 @@ impl<T: Real, const N: usize> FusedFullOperator<T, N> {
                 clover: FusedCloverHalf::compress(&clover),
             }),
         };
-
-        let (nx, ny) = (dims[Dir::X], dims[Dir::Y]);
-        let mut xy = Vec::with_capacity(16);
-        for flavor in 0..2 {
-            for to in [Parity::Even, Parity::Odd] {
-                for dir in [Dir::X, Dir::Y] {
-                    for fwd in [false, true] {
-                        let phase = op.phases().of(dir);
-                        let mut table = [0usize; N];
-                        let mut sign = [1.0f64; N];
-                        let mut any_wrap = false;
-                        for (l, entry) in table.iter_mut().enumerate() {
-                            let (x, y) = layout.lane_site(flavor, to, l);
-                            let (c, extent) = match dir {
-                                Dir::X => (x, nx),
-                                _ => (y, ny),
-                            };
-                            let (nc, wrapped) = if fwd {
-                                if c + 1 == extent {
-                                    (0, true)
-                                } else {
-                                    (c + 1, false)
-                                }
-                            } else if c == 0 {
-                                (extent - 1, true)
-                            } else {
-                                (c - 1, false)
-                            };
-                            let (sx, sy) = match dir {
-                                Dir::X => (nc, y),
-                                _ => (x, nc),
-                            };
-                            let (p2, src) = layout.site_lane(flavor, sx, sy);
-                            debug_assert_eq!(p2, to.flip(), "xy wrap must flip parity");
-                            *entry = src;
-                            if wrapped {
-                                any_wrap = true;
-                                sign[l] = phase;
-                            }
-                        }
-                        let sign = (any_wrap && phase != 1.0)
-                            .then(|| VReal::from_fn(|l| T::from_f64(sign[l])));
-                        xy.push(WrapPattern { table, sign });
-                    }
-                }
-            }
-        }
-
-        let zt_phase = [Dir::X, Dir::Y, Dir::Z, Dir::T].map(|d| {
-            let p = op.phases().of(d);
-            (p != 1.0).then(|| T::from_f64(p))
-        });
 
         let idx = SiteIndexer::new(dims);
         let tiles = layout.tiles_per_parity();
@@ -498,7 +435,7 @@ impl<T: Real, const N: usize> FusedFullOperator<T, N> {
         debug_assert_eq!(order.len(), tiles);
 
         let scratch = Mutex::new(FusedField::zeros(dims));
-        Self { dims, layout, kernel, consts, tuning, order, xy, zt_phase, site_map, scratch }
+        Self { dims, layout, kernel, consts, tuning, order, site_map, scratch }
     }
 
     /// Gather the AOS input sites of one tile into fused layout: one
@@ -543,9 +480,9 @@ impl<T: Real, const N: usize> FusedFullOperator<T, N> {
     }
 
     /// One output tile of `A inp = (diag - 1/2 Dw) inp` with wrapping
-    /// boundaries: diagonal plus all eight hops, in a fixed order.
-    /// Generic over the constant storage; the native instantiation is
-    /// the exact pre-compression kernel.
+    /// boundaries: diagonal plus all eight hops, in a fixed order — no
+    /// masks, all lanes live. Generic over the constant storage; the
+    /// native instantiation is the exact pre-compression kernel.
     fn compute_tile<S: ConstStore<T, N>>(
         &self,
         consts: &S,
@@ -553,93 +490,8 @@ impl<T: Real, const N: usize> FusedFullOperator<T, N> {
         tile: usize,
         to: Parity,
     ) -> FusedTile<T, N> {
-        let from = to.flip();
-        let flavor = self.layout.flavor(tile);
-        let (tz, tt) = self.layout.tile_coords(tile);
-        let (bz, bt) = (self.dims[Dir::Z], self.dims[Dir::T]);
-
         let mut acc = clover_apply_tile(consts.clover(to, tile), inp.tile(to, tile));
-
-        // x/y hops: in-register lane permutations within the same tile,
-        // wrap included in the table — no masks, all lanes live. The
-        // permutation is lane-wise-linear-commuting, so it runs *after*
-        // the spin projection (12 vectors instead of 24) and, for the
-        // backward hop, after the color multiply too — the link lives at
-        // the source site, so projecting and multiplying in source lane
-        // order then permuting the half-spinor result avoids permuting
-        // the 18-vector gauge tile altogether.
-        for (di, dir) in [Dir::X, Dir::Y].into_iter().enumerate() {
-            for (fi, fwd) in [false, true].into_iter().enumerate() {
-                let pat = &self.xy[xy_idx(flavor, to, di, fi)];
-                if fwd {
-                    // (1 - gamma) U(x) psi(x+mu)
-                    let h = self.kernel.project(dir, false, inp.tile(from, tile));
-                    let hp = permute_half(&h, &pat.table, pat.sign.as_ref());
-                    self.kernel.su3_recon_acc(
-                        dir,
-                        false,
-                        false,
-                        consts.gauge(to, tile, dir),
-                        &hp,
-                        &mut acc,
-                    );
-                } else {
-                    // (1 + gamma) U^dag(x-mu) psi(x-mu), in source order;
-                    // the permutation (and boundary sign) is applied as
-                    // `U^dag h` is consumed by the reconstruction.
-                    let h = self.kernel.project(dir, true, inp.tile(from, tile));
-                    let uh = FusedKernel::su3_adj_mul(consts.gauge(from, tile, dir), &h);
-                    self.kernel.reconstruct_acc_permuted(
-                        dir,
-                        true,
-                        &uh,
-                        &pat.table,
-                        pat.sign.as_ref(),
-                        &mut acc,
-                    );
-                }
-            }
-        }
-
-        // z/t hops: tile-to-tile with no shuffles; a wrapping hop picks
-        // the opposite-edge tile and scales by the boundary phase.
-        for (dir, coord, extent) in [(Dir::Z, tz, bz), (Dir::T, tt, bt)] {
-            let phase = self.zt_phase[dir.index()];
-            // Forward.
-            let (nc, wrapped) = if coord + 1 == extent { (0, true) } else { (coord + 1, false) };
-            let ntile = match dir {
-                Dir::Z => self.layout.tile_of(nc, tt),
-                _ => self.layout.tile_of(tz, nc),
-            };
-            let mut h = self.kernel.project(dir, false, inp.tile(from, ntile));
-            if wrapped {
-                if let Some(p) = phase {
-                    scale_half(&mut h, p);
-                }
-            }
-            self.kernel.su3_recon_acc(dir, false, false, consts.gauge(to, tile, dir), &h, &mut acc);
-            // Backward.
-            let (pc, wrapped) = if coord == 0 { (extent - 1, true) } else { (coord - 1, false) };
-            let ptile = match dir {
-                Dir::Z => self.layout.tile_of(pc, tt),
-                _ => self.layout.tile_of(tz, pc),
-            };
-            let mut h = self.kernel.project(dir, true, inp.tile(from, ptile));
-            if wrapped {
-                if let Some(p) = phase {
-                    scale_half(&mut h, p);
-                }
-            }
-            self.kernel.su3_recon_acc(
-                dir,
-                true,
-                true,
-                consts.gauge(from, ptile, dir),
-                &h,
-                &mut acc,
-            );
-        }
-
+        self.kernel.hop_tile(&mut acc, inp, consts.gauge(), tile, to);
         acc
     }
 
@@ -655,7 +507,7 @@ impl<T: Real, const N: usize> FusedFullOperator<T, N> {
     ) {
         for p in [Parity::Even, Parity::Odd] {
             for dir in Dir::ALL {
-                prefetch_lines(consts.gauge(p, tile, dir), true);
+                prefetch_lines(consts.gauge().tile(p, tile, dir), true);
             }
             prefetch_lines(consts.clover(p, tile), true);
             if mode == SwPrefetch::L1L2 {
@@ -717,35 +569,6 @@ fn prefetch_lines<V>(v: &V, to_l1: bool) {
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = (v, to_l1);
-    }
-}
-
-/// Permute a half-spinor into destination lane order, applying per-lane
-/// boundary phases when present. Spin projection and the color multiply
-/// are lane-wise, so permuting their 12-vector result is equivalent to
-/// (and cheaper than) permuting the 24-vector source tile.
-#[inline]
-fn permute_half<T: Real, const N: usize>(
-    h: &Half<T, N>,
-    table: &[usize; N],
-    sign: Option<&VReal<T, N>>,
-) -> Half<T, N> {
-    let mut out: Half<T, N> =
-        std::array::from_fn(|k| [h[k][0].permute(table), h[k][1].permute(table)]);
-    if let Some(s) = sign {
-        for c in &mut out {
-            c[0] = c[0].mul(*s);
-            c[1] = c[1].mul(*s);
-        }
-    }
-    out
-}
-
-#[inline]
-fn scale_half<T: Real, const N: usize>(h: &mut Half<T, N>, s: T) {
-    for c in h.iter_mut() {
-        c[0] = c[0].scale(s);
-        c[1] = c[1].scale(s);
     }
 }
 

@@ -1,16 +1,19 @@
-//! Site-fused SOA storage and the portable SIMD vector type.
+//! Site-fused SOA storage and the SIMD vector type.
 //!
 //! On the KNC, 16 lattice sites fill the 16 lanes of one single-precision
 //! register, and every one of the 24 real spinor components lives in its
-//! own register/cache-line stream (paper Sec. III-A). [`VReal`] is the
-//! portable stand-in for such a register: a fixed-size, cache-line-aligned
-//! array with the operations the kernels need (lane-wise FMA, in-register
-//! permutation, masked accumulation). LLVM auto-vectorizes these
-//! fixed-trip-count loops into real SIMD on the host.
+//! own register/cache-line stream (paper Sec. III-A). [`VReal`] stands for
+//! such a register: a fixed-size, cache-line-aligned array with the
+//! operations the kernels need (lane-wise arithmetic and FMA, in-register
+//! permutation, masking). The operations the hot kernels run are lowered
+//! explicitly to AVX2 / AVX-512 instructions where the target has them
+//! and the lane count fills registers; see [`crate::lanes`] for which,
+//! why, and the portable loops every other case runs.
 //!
 //! [`FusedField`] stores one domain's spinors in this layout: for each
 //! parity and each xy-tile, 24 component vectors of `N` lanes.
 
+use crate::lanes::{self, LaneMask};
 use crate::spinor::Spinor;
 use qdd_lattice::{Dims, Parity, SiteIndexer, TileLayout};
 use qdd_util::complex::{Complex, Real};
@@ -42,17 +45,17 @@ impl<T: Real, const N: usize> VReal<T, N> {
 
     #[inline(always)]
     pub fn add(self, o: Self) -> Self {
-        VReal(std::array::from_fn(|i| self.0[i] + o.0[i]))
+        VReal(lanes::add(&self.0, &o.0))
     }
 
     #[inline(always)]
     pub fn sub(self, o: Self) -> Self {
-        VReal(std::array::from_fn(|i| self.0[i] - o.0[i]))
+        VReal(lanes::sub(&self.0, &o.0))
     }
 
     #[inline(always)]
     pub fn mul(self, o: Self) -> Self {
-        VReal(std::array::from_fn(|i| self.0[i] * o.0[i]))
+        VReal(lanes::mul(&self.0, &o.0))
     }
 
     #[inline(always)]
@@ -62,48 +65,47 @@ impl<T: Real, const N: usize> VReal<T, N> {
 
     #[inline(always)]
     pub fn scale(self, s: T) -> Self {
-        VReal(std::array::from_fn(|i| self.0[i] * s))
+        self.mul(Self::splat(s))
     }
 
     /// `self + a * b` lane-wise (the FMA).
     #[inline(always)]
     pub fn fma(self, a: Self, b: Self) -> Self {
-        VReal(std::array::from_fn(|i| a.0[i].mul_add(b.0[i], self.0[i])))
+        VReal(lanes::fma(&self.0, &a.0, &b.0))
     }
 
     /// `self - a * b` lane-wise.
     #[inline(always)]
     pub fn fms(self, a: Self, b: Self) -> Self {
-        VReal(std::array::from_fn(|i| (-a.0[i]).mul_add(b.0[i], self.0[i])))
+        VReal(lanes::fms(&self.0, &a.0, &b.0))
     }
 
     /// In-register permutation: `out[i] = self[table[i]]`. `N` is always a
-    /// power of two (xy cross-sections), so entries are reduced mod `N` —
-    /// a branch-free mask instead of a per-lane bounds check, which keeps
-    /// the gather loop vectorizable.
+    /// power of two (xy cross-sections) and entries are reduced mod `N`,
+    /// which is what `vpermps` does with an index. Takes `&self`: the
+    /// full-lattice operator permutes 1 kB vectors out of arrays, and a
+    /// by-value receiver was a copy of each.
     #[inline(always)]
-    pub fn permute(self, table: &[usize; N]) -> Self {
+    pub fn permute(&self, table: &[u32; N]) -> Self {
         debug_assert!(N.is_power_of_two());
-        VReal(std::array::from_fn(|i| self.0[table[i] & (N - 1)]))
+        VReal(lanes::permute(&self.0, table))
     }
 
-    /// Masked accumulate: add `o` only in lanes where `mask` is true — the
-    /// KNC mask feature used to suppress hops across the domain boundary
-    /// (paper Fig. 2).
+    /// Zero the lanes `keep` turns off — the KNC mask feature used to
+    /// suppress hops across the domain boundary (paper Fig. 2).
     #[inline(always)]
-    pub fn masked_add(self, mask: &[bool; N], o: Self) -> Self {
-        VReal(std::array::from_fn(|i| if mask[i] { self.0[i] + o.0[i] } else { self.0[i] }))
+    pub fn masked(self, keep: &LaneMask<N>) -> Self {
+        VReal(lanes::masked(&self.0, keep))
     }
 
-    /// Lane-wise select: `mask ? a : self` (the blend of Fig. 3).
-    #[inline(always)]
-    pub fn blend(self, mask: &[bool; N], a: Self) -> Self {
-        VReal(std::array::from_fn(|i| if mask[i] { a.0[i] } else { self.0[i] }))
-    }
-
-    /// Horizontal sum.
-    #[inline]
-    pub fn reduce_add(self) -> T {
+    /// Horizontal sum, lane 0 first. Out of line on purpose: inlined into a
+    /// loop that carries `self` as an accumulator, the lane-by-lane reads
+    /// make LLVM keep the accumulator as `N` scalars and rebuild the vector
+    /// with inserts on every iteration (measured on the 16-lane 8x4^3
+    /// block: the level-1 part of an MR iteration went 15.8 -> 2.4 us once
+    /// this was a call).
+    #[inline(never)]
+    pub fn reduce_add(&self) -> T {
         let mut acc = T::ZERO;
         for i in 0..N {
             acc += self.0[i];
@@ -280,13 +282,12 @@ mod tests {
 
     #[test]
     fn vreal_permute_and_masks() {
-        let a = VReal::<f64, 4>::from_fn(|i| 10.0 * i as f64);
+        let a = VReal::<f64, 4>::from_fn(|i| 10.0 * (i + 1) as f64);
         let p = a.permute(&[3, 2, 1, 0]);
-        assert_eq!(p.0, [30.0, 20.0, 10.0, 0.0]);
-        let mask = [true, false, true, false];
-        let b = VReal::<f64, 4>::splat(1.0);
-        assert_eq!(a.masked_add(&mask, b).0, [1.0, 10.0, 21.0, 30.0]);
-        assert_eq!(a.blend(&mask, b).0, [1.0, 10.0, 1.0, 30.0]);
+        assert_eq!(p.0, [40.0, 30.0, 20.0, 10.0]);
+        let keep = LaneMask::from_fn(|i| [true, false, true, false][i]);
+        assert_eq!(a.masked(&keep).0, [10.0, 0.0, 30.0, 0.0]);
+        assert!(keep.lane(0) && !keep.lane(1));
     }
 
     #[test]

@@ -13,6 +13,7 @@ pub mod clover;
 pub mod fields;
 pub mod fused;
 pub mod halo;
+pub mod lanes;
 pub mod spinor;
 pub mod su3;
 
@@ -20,5 +21,6 @@ pub use clover::{CloverSite, Herm6};
 pub use fields::{CloverField, GaugeField, GaugeFieldF16, SpinorField};
 pub use fused::{FusedField, VReal};
 pub use halo::{FaceBuffer, HaloData};
+pub use lanes::LaneMask;
 pub use spinor::{HalfSpinor, Spinor};
 pub use su3::{Su3, C3};

@@ -24,7 +24,38 @@ cargo test --workspace -q
 # not in the next benchmark run.
 echo "==> perf smoke (end-to-end, then traced recomposition)"
 bash perf/run.sh --workload all --smoke
-bash perf/run.sh --workload all --smoke --trace 1
+traced=$(mktemp)
+trap 'rm -f "$traced"' EXIT
+bash perf/run.sh --workload all --smoke --trace 1 >"$traced" || { cat "$traced"; exit 1; }
+cat "$traced"
+
+# A kernel that silently falls off the vector path passes every correctness
+# test. The traced run times the fused and the scalar Schur application of
+# one 4^4 f32 block in the same process on the same host, so their ratio is
+# host-robust: 2.06 when `VReal::permute` compiled to a stack spill plus
+# gathers (PR 13), 5.8 with the lane operations lowered by hand (PR 14).
+# Only a build with the vector ISA has a lowering to fall off of.
+echo "==> vector-path gate (fused / scalar Schur rate >= 3.0 on a vector build)"
+python3 - "$traced" <<'PY'
+import json, sys
+
+host, worst = None, None
+for line in open(sys.argv[1]):
+    if line.startswith('{"host"'):
+        host = json.loads(line)["host"]
+    elif line.startswith('{"correct"'):
+        m = json.loads(line)["metrics"]
+        ratio = m["dirac.schur_fused_gflops"]["value"] / m["dirac.schur_scalar_gflops"]["value"]
+        worst = ratio if worst is None else min(worst, ratio)
+if host is None or worst is None:
+    sys.exit("vector-path gate: no traced result line to read")
+vector = host["built_with_fma"] or host["built_with_avx512f"]
+print(f"dirac.schur_fused_gflops / dirac.schur_scalar_gflops = {worst:.2f} (worst of the run), "
+      f"vector build: {vector}")
+if vector and worst < 3.0:
+    sys.exit("vector-path gate: the fused block kernel is below 3x the scalar one; count the "
+             "gathers in its hot symbols (.claude/skills/verify/SKILL.md)")
+PY
 
 # Chaos smoke: seeded fault injection must recover (retries > 0, converged)
 # and the zero-rate run must be bitwise identical to a fault-free world —
