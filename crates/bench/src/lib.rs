@@ -1,15 +1,14 @@
-//! Shared helpers for the experiment regenerators and criterion benches.
-//!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md for the index); results are printed as aligned text and
-//! optionally dumped as JSON under `results/`.
+//! Shared helpers of the `qdd-bench` binaries: `paper` regenerates the
+//! paper's tables and figures (see DESIGN.md for the index), `chaos`,
+//! `shards`, `serve` and `autotune` are the gated robustness and service
+//! benches, `bench_mr` the measured Table II. Results are printed as
+//! aligned text and written as JSON under `results/`.
 
 use qdd_dirac::clover::build_clover_field;
 use qdd_dirac::gamma::GammaBasis;
 use qdd_dirac::wilson::{BoundaryPhases, WilsonClover};
 use qdd_field::fields::{GaugeField, SpinorField};
 use qdd_lattice::Dims;
-use qdd_trace::TraceSink;
 use qdd_util::rng::Rng64;
 use serde::{Map, Serialize, Value};
 
@@ -29,19 +28,6 @@ pub fn test_source(dims: Dims, seed: u64) -> SpinorField<f64> {
     SpinorField::random(dims, &mut rng)
 }
 
-/// Write a JSON result file under `results/` (best effort).
-pub fn write_result(name: &str, value: &impl serde::Serialize) {
-    let _ = std::fs::create_dir_all("results");
-    if let Ok(s) = serde_json::to_string_pretty(value) {
-        let _ = std::fs::write(format!("results/{name}.json"), s);
-    }
-}
-
-/// Format a ratio as a "paper vs model" agreement string.
-pub fn agreement(model: f64, paper: f64) -> String {
-    format!("{:>8.2} vs {:>8.2} (x{:.2})", model, paper, model / paper)
-}
-
 /// A structured result file with the workspace-wide schema
 ///
 /// ```json
@@ -53,8 +39,8 @@ pub fn agreement(model: f64, paper: f64) -> String {
 /// `params` are the inputs of the run (lattice, solver settings),
 /// `series` the generated data (one labeled point list per curve or table
 /// section), `metadata` free-form context such as paper reference values.
-/// Every regenerator binary writes its `results/{name}.json` through
-/// this type, so downstream plotting only has to understand one layout.
+/// Every binary writes its `results/{name}.json` through this type, so
+/// downstream plotting only has to understand one layout.
 pub struct Report {
     name: String,
     params: Map,
@@ -96,9 +82,12 @@ impl Report {
         self
     }
 
-    /// Write `results/{name}.json` (best effort, like [`write_result`]).
+    /// Write `results/{name}.json` (best effort).
     pub fn write(&self) {
-        write_result(&self.name, self);
+        let _ = std::fs::create_dir_all("results");
+        if let Ok(s) = serde_json::to_string_pretty(self) {
+            let _ = std::fs::write(format!("results/{}.json", self.name), s);
+        }
     }
 }
 
@@ -123,24 +112,6 @@ impl Serialize for Report {
     }
 }
 
-/// The `--trace <path>` argument of the regenerator binaries (the `qdd`
-/// CLI has its own flag parser).
-pub fn trace_path_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == "--trace").and_then(|i| args.get(i + 1)).cloned()
-}
-
-/// Shared tail of the binaries' `--trace` handling: write the Chrome-trace
-/// and JSONL exports of `sink` at `path` and print the phase breakdown.
-pub fn dump_trace(sink: &TraceSink, path: &str) {
-    let streams = [sink.stream()];
-    match qdd_trace::write_trace_files(&streams, path) {
-        Ok(()) => println!("\ntrace written: {path} (chrome://tracing), {path}.jsonl"),
-        Err(e) => eprintln!("\ncould not write trace to {path}: {e}"),
-    }
-    println!("{}", qdd_trace::breakdown_table(&streams));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,12 +120,6 @@ mod tests {
     fn test_operator_is_well_formed() {
         let op = test_operator(Dims::new(4, 4, 4, 4), 0.5, 0.2, 1);
         assert!(op.gauge().max_unitarity_error() < 1e-10);
-    }
-
-    #[test]
-    fn agreement_formats() {
-        let s = agreement(10.0, 5.0);
-        assert!(s.contains("x2.00"));
     }
 
     #[test]

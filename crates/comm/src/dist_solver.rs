@@ -345,10 +345,7 @@ mod tests {
         // Single-rank reference.
         let solver = DdSolver::new(
             WilsonClover::new(gauge.clone(), clover.clone(), 0.2, phases),
-            // Scalar outer path: this test compares iteration counts
-            // against the distributed solver, which applies the operator
-            // with the scalar site loop and plain left-to-right sums.
-            DdSolverConfig { fgmres, schwarz, fused_outer: false, ..Default::default() },
+            DdSolverConfig { fgmres, schwarz, ..Default::default() },
         )
         .unwrap();
         let mut st = SolveStats::new();

@@ -137,7 +137,7 @@ impl<'a, T: HaloScalar> DistSystem<'a, T> {
 
     /// Use an explicit worker count for the staged apply, overriding the
     /// default (`QDD_WORKERS` or 1). Unlike the constructor default this
-    /// ignores the environment — benches sweep it deterministically.
+    /// ignores the environment — tests sweep it deterministically.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.pool = WorkerPool::new(workers.max(1));
         self
@@ -160,12 +160,6 @@ impl<'a, T: HaloScalar> DistSystem<'a, T> {
     /// True if the fused-interior engine is active (diagnostics).
     pub fn fused_interior_active(&self) -> bool {
         self.fused.is_some()
-    }
-
-    /// Interior / boundary site counts of the staged schedule (the
-    /// paper's `ndomain` analog for the Eq. 7 hiding boundary).
-    pub fn stage_site_counts(&self) -> (usize, usize) {
-        (self.sites.interior.len(), self.sites.boundary.len())
     }
 
     pub fn ctx(&self) -> &RankCtx<'a> {
@@ -478,6 +472,10 @@ mod tests {
         // No split: everything interior.
         let p = SitePartition::new(dims, [false; 4]);
         assert!(p.boundary.is_empty());
+        // t-split: the boundary is the two t-faces (3072 / 1024 sites on the
+        // 8^4 local lattice of `paper eq7`).
+        let p = SitePartition::new(Dims::new(8, 8, 8, 8), [false, false, false, true]);
+        assert_eq!((p.interior.len(), p.boundary.len()), (3072, 1024));
         // Full split: boundary = sites with any coordinate on any face.
         let p = SitePartition::new(dims, [true; 4]);
         assert_eq!(p.interior.len(), (4 - 2) * (8 - 2) * (6 - 2) * (8 - 2));

@@ -506,11 +506,6 @@ impl<'w> RankCtx<'w> {
         *self.faults.borrow_mut() = if plan.is_inert() { None } else { Some(plan) };
     }
 
-    /// True if a (non-inert) fault plan is attached.
-    pub fn faults_active(&self) -> bool {
-        self.faults.borrow().is_some()
-    }
-
     /// Attach a flight-recorder lane: subsequent fault events (losses,
     /// detected corruptions, retries, exhausted budgets, hiccups) record
     /// into its ring, tagged with the lane's current trace id.
@@ -942,11 +937,6 @@ impl CommWorld {
     #[inline]
     pub fn grid(&self) -> &RankGrid {
         &self.grid
-    }
-
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
     }
 
     /// The world's retransmission policy.

@@ -8,7 +8,7 @@
 use crate::fgmres_dr::{fgmres_dr_with_workspace, FgmresConfig, SolveOutcome};
 use crate::pool::{resolve_workers, WorkerPool, WorkspacePool};
 use crate::schwarz::{SchwarzConfig, SchwarzPreconditioner};
-use crate::system::{FusedSystem, LocalSystem, SystemOps};
+use crate::system::FusedSystem;
 use qdd_dirac::fused_full::{
     build_full_operator_tuned, FullOperator, FusedTuning, StoragePrecision, SwPrefetch,
 };
@@ -41,13 +41,6 @@ pub struct DdSolverConfig {
     /// on-chip experiments. The `QDD_WORKERS` environment variable
     /// overrides this at solver construction.
     pub workers: usize,
-    /// Run the outer solver on the fused full-lattice SIMD operator and
-    /// the deterministic blocked BLAS (bitwise independent of the worker
-    /// count). `false` restores the scalar site-loop operator with plain
-    /// left-to-right reductions — useful as a cross-check baseline, and
-    /// required when a trajectory must stay bitwise comparable to older
-    /// scalar runs.
-    pub fused_outer: bool,
     /// Software prefetch depth for the fused outer operator's compute
     /// loop. Bitwise-neutral; set from the backend's `PrefetchMode` by
     /// [`Self::with_tuned`] (collapses to `None` on `hw_prefetch`
@@ -65,7 +58,6 @@ impl Default for DdSolverConfig {
             schwarz: SchwarzConfig::default(),
             precision: Precision::Single,
             workers: 1,
-            fused_outer: true,
             prefetch: SwPrefetch::None,
             l2_bytes: None,
         }
@@ -133,8 +125,7 @@ pub struct DdSolver {
     /// serial solve pays nothing for its existence.
     pool: WorkerPool,
     /// Full-lattice fused operator for the outer f64 matvec (`None` when
-    /// the geometry does not admit the xy-tile layout, or when
-    /// `fused_outer` is off).
+    /// the geometry does not admit the xy-tile layout).
     fused: Option<Box<dyn FullOperator<f64>>>,
     /// Same, in f32, for the mixed-precision outer loop.
     fused32: Option<Box<dyn FullOperator<f32>>>,
@@ -153,11 +144,7 @@ impl DdSolver {
     pub fn new(op: WilsonClover<f64>, cfg: DdSolverConfig) -> Option<Self> {
         let op32 = preconditioner_operator(&op, cfg.precision);
         let pool = WorkerPool::new(resolve_workers(cfg.workers));
-        let fused = if cfg.fused_outer {
-            build_full_operator_tuned(&op, cfg.outer_tuning(StoragePrecision::Native))
-        } else {
-            None
-        };
+        let fused = build_full_operator_tuned(&op, cfg.outer_tuning(StoragePrecision::Native));
         // The f16-compressed preconditioner operator is already rounded
         // through f16, so streaming its constants as genuine f16 is
         // lossless: the mixed-precision matvec stays bitwise identical
@@ -166,11 +153,7 @@ impl DdSolver {
             Precision::Single => StoragePrecision::Native,
             Precision::HalfCompressed => StoragePrecision::Half,
         };
-        let fused32 = if cfg.fused_outer {
-            build_full_operator_tuned(&op32, cfg.outer_tuning(storage32))
-        } else {
-            None
-        };
+        let fused32 = build_full_operator_tuned(&op32, cfg.outer_tuning(storage32));
         // Last, so the block constants are the newest (topmost) heap blocks:
         // at 864 B/site they stay under glibc's trim threshold (twice the
         // largest freed block, `op`'s 576 B/site fields), and dropping a
@@ -206,19 +189,15 @@ impl DdSolver {
         self.pre.apply_parallel(v, &self.pool, stats)
     }
 
-    /// The outer system over `op`: the fused operator with the blocked
-    /// deterministic BLAS, or — `fused_outer` off — the scalar site loop
-    /// with plain left-to-right sums.
+    /// The outer system over `op`: the fused operator (the scalar site loop
+    /// where the geometry admits none) with the blocked deterministic BLAS,
+    /// bitwise independent of the worker count.
     fn system<'s, T: qdd_util::complex::Real>(
         &'s self,
         op: &'s WilsonClover<T>,
         fused: &'s Option<Box<dyn FullOperator<T>>>,
-    ) -> Box<dyn SystemOps<T> + 's> {
-        if self.cfg.fused_outer {
-            Box::new(FusedSystem::new(op, fused.as_deref(), &self.pool))
-        } else {
-            Box::new(LocalSystem::new(op))
-        }
+    ) -> FusedSystem<'s, T> {
+        FusedSystem::new(op, fused.as_deref(), &self.pool)
     }
 
     /// Mixed-precision variant of [`Self::solve`] — the paper's Sec. VI
@@ -288,14 +267,8 @@ impl DdSolver {
             stats.span_begin(qdd_trace::Phase::OuterIteration);
             // Inner f32 DD solve: A32 d = r.
             r32.cast_assign(&r);
-            let (d32, inner_out) = fgmres_dr_with_workspace(
-                sys32.as_ref(),
-                &r32,
-                &mut precond,
-                &inner_cfg,
-                ws32,
-                stats,
-            );
+            let (d32, inner_out) =
+                fgmres_dr_with_workspace(&sys32, &r32, &mut precond, &inner_cfg, ws32, stats);
             outcome.iterations += inner_out.iterations;
             // Rescale the inner trajectory by the cycle-start residual so
             // the outer history has one entry per inner iteration
@@ -343,8 +316,7 @@ impl DdSolver {
         let mut precond = |r: &SpinorField<f64>, st: &mut SolveStats| -> SpinorField<f64> {
             self.precondition(&r.cast(), st).cast()
         };
-        let out =
-            fgmres_dr_with_workspace(sys.as_ref(), f, &mut precond, &self.cfg.fgmres, ws, stats);
+        let out = fgmres_dr_with_workspace(&sys, f, &mut precond, &self.cfg.fgmres, ws, stats);
         self.emit_par_counters(stats);
         out
     }

@@ -227,9 +227,6 @@ pub fn mr_solve_fused<T: Real, const N: usize>(
     out
 }
 
-/// Convenience alias making the `alpha` type explicit for callers.
-pub type MrAlpha<T> = Complex<T>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -179,11 +179,6 @@ impl<'a, T: Real> FusedSystem<'a, T> {
         Self { op, fused, pool }
     }
 
-    /// Whether applications run the fused SIMD kernel (vs. scalar).
-    pub fn is_fused(&self) -> bool {
-        self.fused.is_some()
-    }
-
     #[inline]
     fn apply_inner(&self, out: &mut SpinorField<T>, inp: &SpinorField<T>) {
         match self.fused {

@@ -4,11 +4,12 @@
 //! single bit of the answer. This is the invariant behind `qdd-serve`'s
 //! reproducible answers and the paper's bitwise-reproducible solves.
 
-use qdd_core::dd_solver::{DdSolver, DdSolverConfig, Precision};
-use qdd_core::fgmres_dr::FgmresConfig;
+use qdd_core::dd_solver::{preconditioner_operator, DdSolver, DdSolverConfig, Precision};
+use qdd_core::fgmres_dr::{fgmres_dr, FgmresConfig};
 use qdd_core::mr::MrConfig;
 use qdd_core::pool::WorkerPool;
-use qdd_core::schwarz::SchwarzConfig;
+use qdd_core::schwarz::{SchwarzConfig, SchwarzPreconditioner};
+use qdd_core::system::LocalSystem;
 use qdd_dirac::clover::build_clover_field;
 use qdd_dirac::fused_full::build_full_operator;
 use qdd_dirac::gamma::GammaBasis;
@@ -163,9 +164,10 @@ fn f16_storage_solve_bitwise_identical_across_workers_and_tuning() {
     }
 }
 
-/// `fused_outer: false` is a genuine scalar baseline: it converges to the
-/// same solution (not bitwise — the summation orders differ) and lets a
-/// user cross-check the fused path end to end.
+/// The scalar oracle — `fgmres_dr` over `LocalSystem` (site-loop operator,
+/// plain left-to-right sums) with the same Schwarz preconditioner —
+/// converges to the solver's solution (not bitwise: the summation orders
+/// differ), cross-checking the fused path end to end.
 #[test]
 fn scalar_outer_baseline_agrees_with_fused() {
     let dims = Dims::new(8, 4, 4, 4);
@@ -175,13 +177,17 @@ fn scalar_outer_baseline_agrees_with_fused() {
     cfg.schwarz.block = Dims::new(4, 2, 2, 2);
 
     let fused = DdSolver::new(operator(dims, 48), cfg).unwrap();
-    cfg.fused_outer = false;
-    let scalar = DdSolver::new(operator(dims, 48), cfg).unwrap();
-
     let mut s1 = SolveStats::new();
     let (x_f, out_f) = fused.solve(&f, &mut s1);
+
+    let op = operator(dims, 48);
+    let pre = SchwarzPreconditioner::new(preconditioner_operator(&op, cfg.precision), cfg.schwarz)
+        .unwrap();
+    let mut precond = |r: &SpinorField<f64>, st: &mut SolveStats| -> SpinorField<f64> {
+        pre.apply(&r.cast(), st).cast()
+    };
     let mut s2 = SolveStats::new();
-    let (x_s, out_s) = scalar.solve(&f, &mut s2);
+    let (x_s, out_s) = fgmres_dr(&LocalSystem::new(&op), &f, &mut precond, &cfg.fgmres, &mut s2);
     assert!(out_f.converged && out_s.converged);
     let mut d = x_f.clone();
     d.sub_assign(&x_s);

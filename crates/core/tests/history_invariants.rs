@@ -158,8 +158,9 @@ fn zero_rhs_history_is_singleton_zero() {
 
 /// A Schwarz-preconditioned traced solve produces the full nesting
 /// Solve > ArnoldiStep > Precondition > SchwarzSweep > ColorSweep >
-/// DomainSolve on the main lane, and the parallel preconditioner records
-/// domain solves on per-worker lanes that are balanced too.
+/// DomainSolve on the main lane and the bits of the untraced solve, and
+/// the parallel preconditioner records domain solves on per-worker lanes
+/// that are balanced too.
 #[test]
 fn schwarz_preconditioned_solve_traces_nested_phases() {
     let dims = Dims::new(8, 4, 4, 4);
@@ -179,13 +180,23 @@ fn schwarz_preconditioned_solve_traces_nested_phases() {
     let sys = LocalSystem::new(&op);
 
     let mut stats = traced_stats();
+    stats.enable_phase_timing();
     let mut precond = |r: &SpinorField<f64>, st: &mut SolveStats| -> SpinorField<f64> {
         pre.apply(&r.cast(), st).cast()
     };
     let cfg = FgmresConfig { max_basis: 16, deflate: 4, tolerance: 1e-9, max_iterations: 200 };
-    let (_, out) = fgmres_dr(&sys, &f, &mut precond, &cfg, &mut stats);
+    let (x, out) = fgmres_dr(&sys, &f, &mut precond, &cfg, &mut stats);
     assert!(out.converged);
     check_invariants("schwarz+fgmres_dr", &out);
+    assert!(stats.phase_seconds(Phase::OperatorApply) > 0.0, "phase timing inactive");
+
+    // Telemetry never perturbs the numerics: the solve above, under the
+    // full instrumentation surface (spans + phase timing), is bitwise the
+    // bare one — the guarantee the serving path's observability rides on.
+    let (x_bare, bare) = fgmres_dr(&sys, &f, &mut precond, &cfg, &mut SolveStats::new());
+    assert_eq!(x.as_slice(), x_bare.as_slice(), "instrumented solution differs from bare solve");
+    assert_eq!(out.relative_residual.to_bits(), bare.relative_residual.to_bits());
+    assert_eq!(out.history, bare.history);
 
     let events = stats.sink().events();
     let depth = validate_balance(&events).expect("spans unbalanced");

@@ -144,14 +144,6 @@ pub fn self_halo<T: Real>(op: &WilsonClover<T>, inp: &SpinorField<T>) -> HaloDat
     halo
 }
 
-/// Bytes sent per full halo exchange by one rank with this operator
-/// (both orientations of every split direction).
-pub fn halo_bytes_per_exchange<T: Real>(op: &WilsonClover<T>, split: [bool; 4]) -> usize {
-    let dims = *op.dims();
-    let per_site = HalfSpinor::<T>::REALS * std::mem::size_of::<T>();
-    Dir::ALL.iter().filter(|d| split[d.index()]).map(|&d| 2 * dims.face_area(d) * per_site).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,13 +251,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn halo_byte_accounting() {
-        let op = op(BoundaryPhases::periodic());
-        // 4x4x4x4, split in z and t only: 2 * 64 * 96 bytes each dir (f64).
-        let bytes = halo_bytes_per_exchange(&op, [false, false, true, true]);
-        assert_eq!(bytes, 2 * (2 * 64 * 12 * 8));
     }
 }

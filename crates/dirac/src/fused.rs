@@ -28,7 +28,7 @@ use qdd_field::clover::CloverSite;
 use qdd_field::fused::{FusedField, FusedTile, VReal, VF16};
 use qdd_field::lanes::LaneMask;
 use qdd_field::spinor::Spinor;
-use qdd_lattice::{Coord, Dims, Dir, Domain, Parity, SiteIndexer, TileLayout};
+use qdd_lattice::{Dims, Dir, Domain, Parity, SiteIndexer, TileLayout};
 use qdd_util::complex::{Complex, Real, C64};
 use std::sync::Arc;
 
@@ -1074,17 +1074,6 @@ pub fn fused_to_cb<T: Real, const N: usize>(
     (even, odd)
 }
 
-/// Helper for tests/benches: local coordinate round trip.
-pub fn coord_roundtrip_check(block: Dims) -> bool {
-    let layout = TileLayout::new(block);
-    let idx = SiteIndexer::new(block);
-    let coords: Vec<Coord> = idx.iter().collect();
-    coords.iter().all(|c| {
-        let (p, t, l) = layout.locate(c);
-        layout.coord(p, t, l) == *c
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1378,11 +1367,5 @@ mod tests {
         // A full register per row: the layout `[VReal; R]` had.
         assert_eq!(std::mem::size_of::<GaugeTile<f32, 16>>(), 18 * 64);
         assert_eq!(std::mem::size_of::<GaugeTile<f64, 32>>(), 18 * 256);
-    }
-
-    #[test]
-    fn coord_roundtrip_helper() {
-        assert!(coord_roundtrip_check(Dims::new(8, 4, 4, 4)));
-        assert!(coord_roundtrip_check(Dims::new(4, 4, 2, 2)));
     }
 }

@@ -151,16 +151,6 @@ impl<T: Real> SpinorField<T> {
             *a = b.cast();
         }
     }
-
-    /// Flop cost of one axpy on this field (8 flop per complex component).
-    pub fn axpy_flops(&self) -> f64 {
-        8.0 * 12.0 * self.len() as f64
-    }
-
-    /// Flop cost of one inner product (8 flop per complex component).
-    pub fn dot_flops(&self) -> f64 {
-        8.0 * 12.0 * self.len() as f64
-    }
 }
 
 /// A gauge field: four SU(3) link matrices per site (`U_mu(x)` connecting

@@ -210,16 +210,6 @@ impl<T: Real> Su3<T> {
         out
     }
 
-    pub fn cmul_scalar(&self, s: Complex<T>) -> Su3<T> {
-        let mut out = *self;
-        for i in 0..3 {
-            for j in 0..3 {
-                out.0[i][j] *= s;
-            }
-        }
-        out
-    }
-
     /// Trace.
     pub fn trace(&self) -> Complex<T> {
         self.0[0][0] + self.0[1][1] + self.0[2][2]

@@ -88,11 +88,6 @@ impl DomainGrid {
         Self { lattice, block, grid, grid_indexer: SiteIndexer::new(grid) }
     }
 
-    /// The paper's default 8x4x4x4 block.
-    pub fn with_default_block(lattice: Dims) -> Self {
-        Self::new(lattice, Dims::new(8, 4, 4, 4))
-    }
-
     #[inline]
     pub fn lattice(&self) -> &Dims {
         &self.lattice

@@ -19,4 +19,4 @@ pub use domain::{Domain, DomainColor, DomainGrid};
 pub use load::{core_assignment, load_average, ndomain};
 pub use partition::{HaloSpec, NonUniformSplit, RankGrid};
 pub use site::{Parity, SiteIndexer};
-pub use tile::{LaneSrc, TileLayout};
+pub use tile::TileLayout;

@@ -20,17 +20,6 @@
 use crate::dims::{Coord, Dims, Dir};
 use crate::site::Parity;
 
-/// Where a lane's x/y-neighbor comes from.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum LaneSrc {
-    /// Lane `l` of the opposite-parity tile at the same (z, t).
-    Internal(usize),
-    /// Slot `k` of the packed face buffer of the neighboring domain
-    /// (ordered by increasing y for x-faces, increasing x for y-faces;
-    /// slot = y/2 resp. x/2).
-    Boundary(usize),
-}
-
 /// Site-fused tile layout for one domain shape.
 #[derive(Clone, Debug)]
 pub struct TileLayout {
@@ -120,71 +109,6 @@ impl TileLayout {
         Coord([x, y, z, t])
     }
 
-    /// The x/y-neighbor pattern: for every lane of a (flavor, parity) tile,
-    /// where its neighbor in direction `dir` (`forward` = +μ) resides. The
-    /// neighbor always has opposite site parity and sits in the tile at the
-    /// same (z, t).
-    pub fn xy_neighbor(
-        &self,
-        flavor: usize,
-        parity: Parity,
-        dir: Dir,
-        forward: bool,
-    ) -> Vec<LaneSrc> {
-        assert!(matches!(dir, Dir::X | Dir::Y), "xy_neighbor is only for fused directions");
-        let [bx, by, _, _] = self.block.0;
-        (0..self.lanes)
-            .map(|lane| {
-                let (x, y) = self.lane_site(flavor, parity, lane);
-                let (nx, ny, crossed) = match (dir, forward) {
-                    (Dir::X, true) => {
-                        if x + 1 == bx {
-                            (0, y, true)
-                        } else {
-                            (x + 1, y, false)
-                        }
-                    }
-                    (Dir::X, false) => {
-                        if x == 0 {
-                            (bx - 1, y, true)
-                        } else {
-                            (x - 1, y, false)
-                        }
-                    }
-                    (Dir::Y, true) => {
-                        if y + 1 == by {
-                            (x, 0, true)
-                        } else {
-                            (x, y + 1, false)
-                        }
-                    }
-                    (Dir::Y, false) => {
-                        if y == 0 {
-                            (x, by - 1, true)
-                        } else {
-                            (x, y - 1, false)
-                        }
-                    }
-                    _ => unreachable!(),
-                };
-                if crossed {
-                    // Slot in the neighboring domain's face buffer: the
-                    // neighbor site is (nx, ny) on the opposite face.
-                    let slot = match dir {
-                        Dir::X => ny / 2,
-                        Dir::Y => nx / 2,
-                        _ => unreachable!(),
-                    };
-                    LaneSrc::Boundary(slot)
-                } else {
-                    let (np, nlane) = self.site_lane(flavor, nx, ny);
-                    debug_assert_eq!(np, parity.flip());
-                    LaneSrc::Internal(nlane)
-                }
-            })
-            .collect()
-    }
-
     /// Number of boundary slots on an x- or y-face per (z, t) slice and
     /// parity: by/2 for x-faces, bx/2 for y-faces.
     pub fn face_slots(&self, dir: Dir) -> usize {
@@ -239,115 +163,10 @@ mod tests {
     }
 
     #[test]
-    fn xy_neighbor_matches_bruteforce() {
-        let block = Dims::new(8, 4, 4, 4);
-        let l = TileLayout::new(block);
-        for flavor in 0..2 {
-            for parity in [Parity::Even, Parity::Odd] {
-                for dir in [Dir::X, Dir::Y] {
-                    for forward in [true, false] {
-                        let pat = l.xy_neighbor(flavor, parity, dir, forward);
-                        for (lane, src) in pat.iter().enumerate() {
-                            let (x, y) = l.lane_site(flavor, parity, lane);
-                            // Brute-force neighbor within the cross-section.
-                            let (bx, by) = (block.0[0] as isize, block.0[1] as isize);
-                            let (mut nx, mut ny) = (x as isize, y as isize);
-                            match dir {
-                                Dir::X => nx += if forward { 1 } else { -1 },
-                                Dir::Y => ny += if forward { 1 } else { -1 },
-                                _ => unreachable!(),
-                            }
-                            let crossed = nx < 0 || nx >= bx || ny < 0 || ny >= by;
-                            match src {
-                                LaneSrc::Internal(nl) => {
-                                    assert!(!crossed);
-                                    let (np, expect) =
-                                        l.site_lane(flavor, nx as usize, ny as usize);
-                                    assert_eq!(np, parity.flip());
-                                    assert_eq!(*nl, expect);
-                                }
-                                LaneSrc::Boundary(slot) => {
-                                    assert!(crossed);
-                                    let wrapped = match dir {
-                                        Dir::X => (ny as usize) / 2,
-                                        Dir::Y => (nx.rem_euclid(bx) as usize) / 2,
-                                        _ => unreachable!(),
-                                    };
-                                    let expect = match dir {
-                                        Dir::X => wrapped,
-                                        Dir::Y => x / 2,
-                                        _ => unreachable!(),
-                                    };
-                                    let _ = wrapped;
-                                    assert_eq!(*slot, expect, "lane {lane} {dir} fwd={forward}");
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn boundary_lane_counts_match_paper() {
         // Paper Sec. III-A: x hops waste 2/16 lanes, y hops 4/16.
         let l = paper_layout();
-        for flavor in 0..2 {
-            for parity in [Parity::Even, Parity::Odd] {
-                let x_pat = l.xy_neighbor(flavor, parity, Dir::X, true);
-                let nb = x_pat.iter().filter(|s| matches!(s, LaneSrc::Boundary(_))).count();
-                assert_eq!(nb, 2);
-                let y_pat = l.xy_neighbor(flavor, parity, Dir::Y, true);
-                let nb = y_pat.iter().filter(|s| matches!(s, LaneSrc::Boundary(_))).count();
-                assert_eq!(nb, 4);
-            }
-        }
         assert!((l.mask_efficiency(Dir::X) - 14.0 / 16.0).abs() < 1e-15);
         assert!((l.mask_efficiency(Dir::Y) - 12.0 / 16.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn boundary_slots_cover_face_exactly_once() {
-        let l = paper_layout();
-        for flavor in 0..2 {
-            for parity in [Parity::Even, Parity::Odd] {
-                for (dir, fwd) in [(Dir::X, true), (Dir::X, false), (Dir::Y, true), (Dir::Y, false)]
-                {
-                    let pat = l.xy_neighbor(flavor, parity, dir, fwd);
-                    let mut slots: Vec<usize> = pat
-                        .iter()
-                        .filter_map(|s| match s {
-                            LaneSrc::Boundary(k) => Some(*k),
-                            _ => None,
-                        })
-                        .collect();
-                    slots.sort_unstable();
-                    let expect: Vec<usize> = (0..l.face_slots(dir)).collect();
-                    assert_eq!(slots, expect, "{dir} fwd={fwd} flavor={flavor}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn internal_lanes_are_a_partial_permutation() {
-        // No two lanes may read the same internal source lane.
-        let l = paper_layout();
-        for flavor in 0..2 {
-            for parity in [Parity::Even, Parity::Odd] {
-                for (dir, fwd) in [(Dir::X, true), (Dir::X, false), (Dir::Y, true), (Dir::Y, false)]
-                {
-                    let pat = l.xy_neighbor(flavor, parity, dir, fwd);
-                    let mut seen = vec![false; l.lanes()];
-                    for s in &pat {
-                        if let LaneSrc::Internal(k) = s {
-                            assert!(!seen[*k]);
-                            seen[*k] = true;
-                        }
-                    }
-                }
-            }
-        }
     }
 }

@@ -191,34 +191,6 @@ impl KernelProfile {
             irregular: true,
         }
     }
-
-    /// The full Wilson-Clover operator applied to whole-lattice fields
-    /// (outer solver): streams everything from memory.
-    pub fn full_operator_streaming() -> Self {
-        Self {
-            name: "full-operator",
-            stream_bytes_per_site: 2.0 * 96.0 + 288.0 + 288.0,
-            ..Self::schur_operator()
-        }
-    }
-
-    /// Outer-solver BLAS-1 (Gram-Schmidt, axpys) on whole-lattice
-    /// double-precision fields: bandwidth bound.
-    pub fn outer_level1() -> Self {
-        Self {
-            name: "outer-level1",
-            flops_per_site: 96.0,
-            vector_bytes_per_site: 0.0,
-            matrix_bytes_per_site: 0.0,
-            stream_bytes_per_site: 2.0 * 192.0, // f64 vectors
-            fma_instr_fraction: 1.0,
-            simd_mask_efficiency: 1.0,
-            compute_instr_fraction: 0.3,
-            pairable_fraction: 0.8,
-            pairing_found: 0.6,
-            irregular: false,
-        }
-    }
 }
 
 /// The evaluated model for one (profile, precision, prefetch) combination.

@@ -113,6 +113,51 @@ impl OverlapModel {
     }
 }
 
+/// One core count of the Eq. 7 hiding boundary for a staged operator
+/// apply: the wire time of the split faces against the interior compute
+/// window per core. Pure model output, bitwise reproducible on any host.
+#[derive(Copy, Clone, Debug, Serialize)]
+pub struct Eq7Point {
+    pub cores: usize,
+    /// Interior domains per core; hiding needs at least two.
+    pub domains_per_core: f64,
+    /// Overlap window: interior compute seconds per core per apply.
+    pub window_s: f64,
+    /// Wire time of the split faces per apply.
+    pub wire_s: f64,
+    pub model_staged_exposed_s: f64,
+    pub model_bulk_exposed_s: f64,
+    /// True when the model hides the wires completely (zero exposed).
+    pub hidden: bool,
+}
+
+impl OverlapModel {
+    /// Eq. 7 for a t-split operator apply on `cores` cores: `wire_s` of
+    /// t-face traffic against `interior_flops` of boundary-independent
+    /// work, `interior_domains` domains of it, at `core_gflops` per core.
+    pub fn eq7_point(
+        &self,
+        wire_s: f64,
+        interior_flops: f64,
+        interior_domains: f64,
+        core_gflops: f64,
+        cores: usize,
+    ) -> Eq7Point {
+        let window_s = interior_flops / (core_gflops * 1e9 * cores as f64);
+        let domains_per_core = interior_domains / cores as f64;
+        let staged = self.exposed_s(&[0.0, 0.0, 0.0, wire_s], window_s, domains_per_core >= 2.0);
+        Eq7Point {
+            cores,
+            domains_per_core,
+            window_s,
+            wire_s,
+            model_staged_exposed_s: staged,
+            model_bulk_exposed_s: wire_s,
+            hidden: staged == 0.0,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +184,44 @@ mod tests {
         let m = OverlapModel::paper_dd();
         let comm = [1e-3, 1e-3, 1e-3, 1e-3];
         assert_eq!(m.exposed_s(&comm, 1.0, false), 4e-3);
+    }
+
+    #[test]
+    fn eq7_boundary_hides_ten_fold_then_collapses() {
+        // `paper eq7`'s operating point: an 8^4 local lattice split in t on
+        // the KNC — 12 interior 4^4 domains at 1848 flop/site, two 512-site
+        // f64 half-spinor faces on the FDR wire.
+        let knc = crate::BackendKind::Knc7110p.instance();
+        let wire_s = knc.network().transfer_time_s(2.0 * 512.0 * 96.0, 2.0);
+        let (_, core_gflops) = knc.wilson_clover_bound();
+        let sweep: Vec<Eq7Point> = [1usize, 2, 4, 8, 16, 32, 60]
+            .iter()
+            .map(|&c| knc.overlap().eq7_point(wire_s, 3072.0 * 1848.0, 12.0, core_gflops, c))
+            .collect();
+        // The series the deleted `outer_overlap` baseline gated, at its
+        // tolerance: 138.9 us on the wire at every point, against a window of
+        // 285.4 us / cores.
+        let pinned = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want;
+        assert!(pinned(wire_s, 0.00013894171428571427), "wire {wire_s:e}");
+        for p in &sweep {
+            assert_eq!(p.wire_s.to_bits(), wire_s.to_bits());
+            assert_eq!(p.model_bulk_exposed_s.to_bits(), wire_s.to_bits());
+            assert!(pinned(p.window_s * p.cores as f64, 0.00028535081737914145), "{p:?}");
+        }
+        // Hidden entirely on one core — the ten-fold cut of the exposed wire
+        // time ...
+        assert!(sweep[0].model_staged_exposed_s * 10.0 <= sweep[0].model_bulk_exposed_s);
+        let hidden: Vec<bool> = sweep.iter().map(|p| p.hidden).collect();
+        assert_eq!(hidden, [true, false, false, false, false, false, false]);
+        // ... partly while two domains per core remain (24.8 us exposed on 2
+        // cores, 81.9 us on 4), and not at all below that: the boundary is
+        // crossed.
+        assert!(pinned(sweep[1].model_staged_exposed_s, 0.000024801387334057686), "{:?}", sweep[1]);
+        assert!(pinned(sweep[2].model_staged_exposed_s, 0.00008187155080988597), "{:?}", sweep[2]);
+        for p in &sweep[3..] {
+            assert!(p.domains_per_core < 2.0);
+            assert_eq!(p.model_staged_exposed_s.to_bits(), wire_s.to_bits());
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The setup cache: LRU over prepared DD solvers.
+//! The service's caches — prepared DD solvers, autotuned operating
+//! points, scattered configurations — as three fronts of one LRU.
 //!
 //! `DdSolver::new` is the expensive part of a cold solve — clover
 //! inversion for every even site, f32/f16 conversion of the gauge and
@@ -8,23 +9,13 @@
 //! configurations, so the service keeps the most recently used prepared
 //! solvers and rebuilds only on a genuine configuration (or parameter)
 //! change. Hit/miss/eviction counts are exported into the `qdd-trace`
-//! metrics registry by the service.
+//! metrics registry by the service. The sharded pool's unit of set-up is
+//! the scatter of a configuration over a rank grid ([`ShardSetupCache`]).
 
+use crate::shard::ShardSetup;
 use qdd_autotune::TunedParams;
 use qdd_core::DdSolver;
 use std::sync::Arc;
-
-/// An LRU cache of prepared solvers keyed by a 64-bit setup key (see
-/// `request::setup_key`: config id + lattice geometry + precision policy +
-/// tolerance bits).
-pub struct SetupCache {
-    capacity: usize,
-    /// Most recently used at the back.
-    entries: Vec<(u64, Arc<DdSolver>)>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
 
 /// Whether a lookup was served from the cache.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -33,26 +24,37 @@ pub enum CacheOutcome {
     Miss,
 }
 
-impl SetupCache {
-    pub fn new(capacity: usize) -> Self {
+/// The one LRU behind [`SetupCache`], [`TuneCache`] and
+/// [`ShardSetupCache`]: 64-bit keys, cloneable values, counted
+/// lookups.
+struct Lru<V> {
+    capacity: usize,
+    /// Most recently used at the back.
+    entries: Vec<(u64, V)>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl<V: Clone> Lru<V> {
+    fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         Self { capacity, entries: Vec::new(), hits: 0, misses: 0, evictions: 0 }
     }
 
-    /// Look up `key`, building (and inserting) the solver on a miss.
-    /// `build` returning `None` (singular clover block, unknown config)
-    /// is passed through and nothing is inserted.
+    /// Look up `key`, building (and inserting) the value on a miss. `build`
+    /// returning `None` is passed through and nothing is inserted.
     ///
-    /// A full cache gives up its least recently used solver *before*
-    /// `build` runs, so at most `capacity` prepared solvers are resident at
-    /// any time — the service's memory high-water mark does not depend on
-    /// whether the request sequence happened to overflow the cache. The
-    /// price: a build that fails on a full cache still cost that entry.
-    pub fn get_or_build(
+    /// A full cache gives up its least recently used value *before* `build`
+    /// runs, so at most `capacity` values are resident at any time — the
+    /// service's memory high-water mark does not depend on whether the
+    /// request sequence happened to overflow the cache. The price: a build
+    /// that fails on a full cache still cost that entry.
+    fn get_or_build(
         &mut self,
         key: u64,
-        build: impl FnOnce() -> Option<DdSolver>,
-    ) -> (Option<Arc<DdSolver>>, CacheOutcome) {
+        build: impl FnOnce() -> Option<V>,
+    ) -> (Option<V>, CacheOutcome) {
         if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
             self.hits += 1;
             // Refresh recency.
@@ -65,40 +67,71 @@ impl SetupCache {
             self.entries.remove(0);
             self.evictions += 1;
         }
-        let Some(solver) = build().map(Arc::new) else {
+        let Some(value) = build() else {
             return (None, CacheOutcome::Miss);
         };
-        self.entries.push((key, solver.clone()));
-        (Some(solver), CacheOutcome::Miss)
+        self.entries.push((key, value.clone()));
+        (Some(value), CacheOutcome::Miss)
     }
+}
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
+/// Constructor and counters of a cache type wrapping one [`Lru`].
+macro_rules! lru_front {
+    ($cache:ty) => {
+        impl $cache {
+            pub fn new(capacity: usize) -> Self {
+                Self(Lru::new(capacity))
+            }
 
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
+            pub fn len(&self) -> usize {
+                self.0.entries.len()
+            }
 
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
+            pub fn is_empty(&self) -> bool {
+                self.0.entries.is_empty()
+            }
 
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
+            pub fn hits(&self) -> u64 {
+                self.0.hits
+            }
 
-    pub fn evictions(&self) -> u64 {
-        self.evictions
+            pub fn misses(&self) -> u64 {
+                self.0.misses
+            }
+
+            pub fn evictions(&self) -> u64 {
+                self.0.evictions
+            }
+        }
+    };
+}
+
+/// An LRU cache of prepared solvers keyed by a 64-bit setup key (see
+/// `request::setup_key`: config id + lattice geometry + precision policy +
+/// tolerance bits).
+pub struct SetupCache(Lru<Arc<DdSolver>>);
+lru_front!(SetupCache);
+
+impl SetupCache {
+    /// Look up `key`, building (and inserting) the solver on a miss.
+    /// `build` returning `None` (singular clover block, unknown config)
+    /// is passed through uncached. A full cache evicts before it builds:
+    /// at most `capacity` prepared solvers are ever resident.
+    pub fn get_or_build(
+        &mut self,
+        key: u64,
+        build: impl FnOnce() -> Option<DdSolver>,
+    ) -> (Option<Arc<DdSolver>>, CacheOutcome) {
+        self.0.get_or_build(key, || build().map(Arc::new))
     }
 
     /// Hits over lookups; 0 before any lookup.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits() + self.misses();
         if total == 0 {
             0.0
         } else {
-            self.hits as f64 / total as f64
+            self.hits() as f64 / total as f64
         }
     }
 }
@@ -110,21 +143,10 @@ impl SetupCache {
 /// and serves the cached plan thereafter. Infeasible shapes (no
 /// candidate passes the constraints) cache `None` so the search does
 /// not rerun every batch.
-pub struct TuneCache {
-    capacity: usize,
-    /// Most recently used at the back.
-    entries: Vec<(u64, Option<TunedParams>)>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
+pub struct TuneCache(Lru<Option<TunedParams>>);
+lru_front!(TuneCache);
 
 impl TuneCache {
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        Self { capacity, entries: Vec::new(), hits: 0, misses: 0, evictions: 0 }
-    }
-
     /// Look up `key`, running the tuner on a miss. Unlike the setup
     /// cache, a `None` outcome *is* cached — "nothing feasible" is a
     /// deterministic property of the shape.
@@ -133,46 +155,35 @@ impl TuneCache {
         key: u64,
         tune: impl FnOnce() -> Option<TunedParams>,
     ) -> (Option<TunedParams>, CacheOutcome) {
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.hits += 1;
-            let entry = self.entries.remove(pos);
-            self.entries.push(entry);
-            return (self.entries.last().unwrap().1, CacheOutcome::Hit);
-        }
-        self.misses += 1;
-        let tuned = tune();
-        if self.entries.len() >= self.capacity {
-            self.entries.remove(0);
-            self.evictions += 1;
-        }
-        self.entries.push((key, tuned));
-        (tuned, CacheOutcome::Miss)
+        let (tuned, outcome) = self.0.get_or_build(key, || Some(tune()));
+        (tuned.flatten(), outcome)
     }
+}
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
+/// An LRU of scattered configurations, shared across every shard of a
+/// pool (the supervisor wraps it in a mutex): capacity and eviction are
+/// pool-wide properties, so two shards never hold duplicate scatters of
+/// the same configuration alive past the shared budget.
+pub struct ShardSetupCache(Lru<Arc<ShardSetup>>);
+lru_front!(ShardSetupCache);
 
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions
+impl ShardSetupCache {
+    /// Look up `key`, building (and inserting) the scatter on a miss. A
+    /// `None` build (unknown config) is passed through uncached. A full
+    /// cache evicts before it builds, like [`SetupCache`].
+    pub fn get_or_build(
+        &mut self,
+        key: u64,
+        build: impl FnOnce() -> Option<ShardSetup>,
+    ) -> Option<Arc<ShardSetup>> {
+        self.0.get_or_build(key, || build().map(Arc::new)).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ConfigKey, SyntheticSource};
     use qdd_core::{DdSolverConfig, FgmresConfig, MrConfig, SchwarzConfig};
     use qdd_dirac::clover::build_clover_field;
     use qdd_dirac::gamma::GammaBasis;
@@ -236,6 +247,22 @@ mod tests {
         });
         assert!(second.is_some());
         assert_eq!((cache.len(), cache.evictions()), (1, 1));
+
+        // The pool-wide scatter cache is the same engine in the same order.
+        let source = SyntheticSource::new(Dims::new(4, 4, 4, 4));
+        let scatter = |id| ShardSetup::build(&source, ConfigKey(id), Dims::new(1, 1, 1, 2));
+        let mut cache = ShardSetupCache::new(1);
+        let first = Arc::downgrade(&cache.get_or_build(1, || scatter(1)).unwrap());
+        let second = cache.get_or_build(2, || {
+            assert!(first.upgrade().is_none(), "the evicted scatter outlived the next build");
+            scatter(2)
+        });
+        assert!(second.is_some());
+        assert_eq!((cache.len(), cache.evictions()), (1, 1));
+        // The accepted price of that order: a build that fails (unknown
+        // config) on a full cache has already cost the resident scatter.
+        assert!(cache.get_or_build(3, || None).is_none());
+        assert_eq!((cache.len(), cache.evictions(), cache.misses()), (0, 2, 3));
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod supervisor;
 pub mod telemetry;
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
-pub use cache::{CacheOutcome, SetupCache, TuneCache};
+pub use cache::{CacheOutcome, SetupCache, ShardSetupCache, TuneCache};
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use queue::{BoundedQueue, QueueFull};
 pub use request::{
@@ -71,7 +71,6 @@ pub use service::{
 };
 pub use shard::{
     run_shard_job, shard_worker_loop, ShardJob, ShardOutcome, ShardRuntime, ShardSetup,
-    ShardSetupCache,
 };
 pub use supervisor::{
     shard_serve, shard_serve_with_flight, PoolHandle, PoolReport, PoolTicket, ShardPoolConfig,

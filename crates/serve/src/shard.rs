@@ -18,6 +18,7 @@
 //! mutex) by every shard in the pool, so eviction is coordinated
 //! pool-wide instead of duplicated per shard.
 
+use crate::cache::ShardSetupCache;
 use crate::request::{ConfigKey, ConfigSource};
 use qdd_comm::{
     dd_solve_resilient_warm, gather_field, run_spmd, scatter_clover, scatter_field, scatter_gauge,
@@ -56,69 +57,6 @@ impl ShardSetup {
             phases: *op.phases(),
             grid,
         })
-    }
-}
-
-/// An LRU of scattered configurations, shared across every shard of a
-/// pool (the supervisor wraps it in a mutex): capacity and eviction are
-/// pool-wide properties, so two shards never hold duplicate scatters of
-/// the same configuration alive past the shared budget.
-pub struct ShardSetupCache {
-    capacity: usize,
-    /// Most recently used at the back.
-    entries: Vec<(u64, Arc<ShardSetup>)>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl ShardSetupCache {
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        Self { capacity, entries: Vec::new(), hits: 0, misses: 0, evictions: 0 }
-    }
-
-    /// Look up `key`, building (and inserting) the scatter on a miss. A
-    /// `None` build (unknown config) is passed through uncached.
-    pub fn get_or_build(
-        &mut self,
-        key: u64,
-        build: impl FnOnce() -> Option<ShardSetup>,
-    ) -> Option<Arc<ShardSetup>> {
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.hits += 1;
-            let entry = self.entries.remove(pos);
-            self.entries.push(entry);
-            return Some(self.entries.last().unwrap().1.clone());
-        }
-        self.misses += 1;
-        let setup = Arc::new(build()?);
-        if self.entries.len() >= self.capacity {
-            self.entries.remove(0);
-            self.evictions += 1;
-        }
-        self.entries.push((key, setup.clone()));
-        Some(setup)
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

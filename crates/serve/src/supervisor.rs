@@ -39,11 +39,12 @@
 //!   `Degraded(ShardsExhausted)` with the best surviving iterate.
 
 use crate::breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
+use crate::cache::ShardSetupCache;
 use crate::latency::LatencyRecorder;
 use crate::request::{
     setup_key, ConfigSource, DegradeReason, ServeStatus, SolveRequest, SolveResponse,
 };
-use crate::shard::{shard_worker_loop, ShardJob, ShardOutcome, ShardRuntime, ShardSetupCache};
+use crate::shard::{shard_worker_loop, ShardJob, ShardOutcome, ShardRuntime};
 use crate::telemetry::RequestTimeline;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use qdd_comm::{DistDdConfig, RetryPolicy};

@@ -190,13 +190,6 @@ impl ShardedMetrics {
         self.shards.len()
     }
 
-    /// The mutable registry of one lane. Callers split `&mut self` so
-    /// each worker sees exactly its own shard (e.g. via
-    /// `shards_mut().par-chunks` or by moving shards into workers).
-    pub fn shard_mut(&mut self, lane: usize) -> &mut MetricsRegistry {
-        &mut self.shards[lane]
-    }
-
     /// All shards, for handing one `&mut` slot to each worker.
     pub fn shards_mut(&mut self) -> &mut [MetricsRegistry] {
         &mut self.shards

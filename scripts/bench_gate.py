@@ -14,8 +14,12 @@ Usage:
     python3 scripts/bench_gate.py serve      # compare one report
     python3 scripts/bench_gate.py --update   # rewrite baselines from fresh runs
 
-Run the smoke benchmarks first so ``results/BENCH_*.json`` is fresh:
-    cargo run -p qdd-bench --release --bin {chaos,serve,telemetry} -- --smoke
+Run the smoke benchmarks first so ``results/BENCH_*.json`` is fresh
+(``sh scripts/verify.sh smoke`` runs them and then this gate):
+    cargo run -p qdd-bench --release --bin {autotune,chaos,serve,shards} -- --smoke
+
+A baseline without a ``GATES`` entry fails the gate, as does an entry
+without a baseline: a deleted benchmark cannot leave either behind.
 
 Exits nonzero on any drift and points at the flight-recorder artifact
 (``results/FLIGHT_chaos.jsonl``) for the post-mortem.
@@ -103,72 +107,6 @@ GATES = {
         },
         "metas": {"exact": ["all_converged"]},
     },
-    "memwall": {
-        # The storage sweep's layout facts (streamed bytes/site per
-        # storage precision, tile labels, worker grid) are size_of
-        # arithmetic and must reproduce bitwise; so must the join solve's
-        # iteration count and the autotuned plan fingerprint. Wall-clock
-        # fields (seconds, GB/s, speedups, model.err ratios) are not
-        # gated.
-        "series": {
-            "f64": {"exact": ["storage", "tile", "l2_bytes", "workers", "bytes_per_site"]},
-            "f32": {"exact": ["storage", "tile", "l2_bytes", "workers", "bytes_per_site"]},
-            "f16": {"exact": ["storage", "tile", "l2_bytes", "workers", "bytes_per_site"]},
-            "onchip_model": {
-                "exact": ["workers"],
-                "rel": {"model_gflops": 1e-9, "model_speedup": 1e-9},
-            },
-        },
-        "metas": {
-            "exact": [
-                "bitwise_identical",
-                "bytes_per_site_f64",
-                "bytes_per_site_f32",
-                "bytes_per_site_f16",
-                "join_iterations",
-                "plan_fingerprint",
-                "plan_choice",
-            ],
-        },
-    },
-    "outer": {
-        # Kernel labels, worker grid, and streamed bytes/site are exact;
-        # timing and speedups are host wall-clock and not gated.
-        "series": {
-            "f64": {"exact": ["kernel", "workers", "bytes_per_site"]},
-            "f32": {"exact": ["kernel", "workers", "bytes_per_site"]},
-            "f16": {"exact": ["kernel", "workers", "bytes_per_site"]},
-        },
-    },
-    "outer_overlap": {
-        # The measured worker sweep is wall clock and only its structure
-        # is pinned (site partition, domain counts). The Eq. 7 series is
-        # pure overlap-model output and must reproduce bitwise, as must
-        # the two correctness verdicts: bitwise identity across
-        # schedules/workers and the peer-skip/timeout distinction.
-        "series": {
-            "hiding_vs_domains_per_core": {
-                "exact": ["workers", "domains_per_core", "interior_sites", "boundary_sites"],
-            },
-            "eq7_hiding_boundary": {
-                "exact": ["cores", "domains_per_core", "hidden"],
-                "rel": {
-                    "window_s": 1e-9,
-                    "wire_s": 1e-9,
-                    "model_staged_exposed_s": 1e-9,
-                    "model_bulk_exposed_s": 1e-9,
-                },
-            },
-        },
-        "metas": {
-            "exact": [
-                "bitwise_identical",
-                "peer_skips_distinct",
-                "model_hiding_10x",
-                "eq7_boundary_crossed",
-            ],
-        },
-    },
     "serve": {
         "series": {
             "served_latency_ms": {"exact": ["request", "iterations"]},
@@ -206,10 +144,6 @@ GATES = {
                 "failovers",
             ],
         },
-    },
-    "telemetry": {
-        "series": {"trial_wall_ms": {"exact": ["trial", "iterations"]}},
-        "metas": {"exact": ["bitwise_identical"]},
     },
 }
 
@@ -279,6 +213,13 @@ def main(argv):
     if unknown:
         print(f"bench_gate: unknown report(s) {unknown}; gated: {sorted(GATES)}")
         return 2
+
+    # A GATES entry without a baseline fails below; the converse here.
+    pinned = {p.stem.removeprefix("BENCH_") for p in BASELINES.glob("*.json")}
+    if pinned - set(GATES):
+        print(f"bench_gate: baseline(s) without a GATES entry: {sorted(pinned - set(GATES))} "
+              "— gate the report or delete the baseline")
+        return 1
 
     bad = 0
     for name in names:

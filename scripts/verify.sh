@@ -2,9 +2,48 @@
 # Full pre-merge verification: release build, every workspace test, the
 # benchmark's API surface, smoke benches + gate, formatting, lints.
 # Run from the repository root: sh scripts/verify.sh
+# `sh scripts/verify.sh smoke` runs the smoke stage alone (CI's `smoke` job).
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# The gated benches, each asserting its own contract and leaving a
+# results/BENCH_<name>.json whose deterministic fields (iterations, fault
+# counters, trace ids, timeline shapes, plan fingerprints, solution
+# digests) bench_gate.py pins against results/baselines/:
+#   chaos    seeded fault injection recovers; the zero-rate run is bitwise
+#            the fault-free world
+#   shards   the pool serves with 1 of 3 shards under 100% loss (nothing
+#            dropped, breaker opens, failover rescues every request), reruns
+#            bitwise under one fault seed, matches the single world fault-free
+#   serve    cold-vs-served bitwise agreement, complete request timelines,
+#            the model join
+#   autotune the model search beats the hand-set default on every backend
+#            with a bitwise-reproducible plan
+# Every other experiment has one home elsewhere: a `perf/` row, a workspace
+# test, or a subcommand of `paper` — whose model regenerators run here, so
+# that none of them can rot. This list is the only one; CI calls it.
+GATED="chaos shards serve autotune"
+
+smoke() {
+    # QDD_FAULT_SEED is read by `shards` alone (its baseline is seed 7; the
+    # other three fix their seeds in the source) and is pinned here so that a
+    # value in the caller's environment cannot drift the gate.
+    for bin in $GATED; do
+        echo "==> $bin smoke benchmark (release)"
+        QDD_FAULT_SEED=7 cargo run -p qdd-bench --release --bin "$bin" -- --smoke
+    done
+    echo "==> paper: every model regenerator (bound table2 table3 fig5 fig6 fig7 eq7)"
+    cargo run -p qdd-bench --release --bin paper >/dev/null
+    # On drift the gate points at results/FLIGHT_chaos.jsonl for the post-mortem.
+    echo "==> bench gate vs committed baselines"
+    python3 scripts/bench_gate.py
+}
+
+if [ "${1:-}" = smoke ]; then
+    smoke
+    exit 0
+fi
 
 echo "==> cargo build --release"
 cargo build --release
@@ -57,72 +96,7 @@ if vector and worst < 3.0:
              "gathers in its hot symbols (.claude/skills/verify/SKILL.md)")
 PY
 
-# Chaos smoke: seeded fault injection must recover (retries > 0, converged)
-# and the zero-rate run must be bitwise identical to a fault-free world —
-# both asserted inside the binary.
-echo "==> chaos smoke benchmark (release)"
-cargo run -p qdd-bench --release --bin chaos -- --smoke
-
-# Shards smoke: the supervised shard pool must keep serving with 1 of 3
-# shards under 100% message loss (zero dropped requests, breaker opens
-# within threshold, failover rescues every request), reproduce bitwise
-# under the same fault seed, and match the single-world path bitwise when
-# fault-free — all asserted inside the binary; statuses, trace ids,
-# breaker transitions, shed/failover counts and the solution digests are
-# pinned by the gate.
-echo "==> shards smoke benchmark (release)"
-QDD_FAULT_SEED=7 cargo run -p qdd-bench --release --bin shards -- --smoke
-
-# Overlap smoke: the Fig. 4 staged schedule must be bitwise identical to
-# the bulk exchange (asserted inside the binary) and reports measured
-# exposed communication for both schedules.
-echo "==> overlap smoke benchmark (release)"
-cargo run -p qdd-bench --release --bin overlap -- --smoke
-
-# Outer-overlap smoke: the staged outer matvec must be bitwise identical
-# to the bulk exchange across worker counts, a peer hiccup must land in
-# the peer-skip fault class (not timeouts), and the Eq. 7 model sweep
-# must cut exposed comm >= 10x inside the hiding boundary — all asserted
-# inside the binary; the model series and both correctness verdicts are
-# pinned by the gate.
-echo "==> outer-overlap smoke benchmark (release)"
-cargo run -p qdd-bench --release --bin outer_overlap -- --smoke
-
-# Serve smoke: bitwise cold-vs-served agreement plus the telemetry
-# acceptance asserts (complete per-request timelines, model join).
-echo "==> serve smoke benchmark (release)"
-cargo run -p qdd-bench --release --bin serve -- --smoke
-
-# Telemetry guard: instrumented solves must be bitwise identical to bare
-# ones (overhead is gated in full runs, reported in smoke).
-echo "==> telemetry overhead guard (release, smoke)"
-cargo run -p qdd-bench --release --bin telemetry -- --smoke
-
-# Outer smoke: fused-vs-scalar matvec across storage precisions; the
-# fused operator is cross-checked site-for-site against the scalar loop
-# and the streamed bytes/site per storage are pinned by the gate.
-echo "==> outer smoke benchmark (release)"
-cargo run -p qdd-bench --release --bin outer -- --smoke
-
-# Memory-wall smoke: the f16 storage sweep must be bitwise identical
-# across workers/tiles and cut streamed bytes/site >= 1.8x vs f64 (both
-# asserted inside the binary); bytes/site, join iterations, and the plan
-# fingerprint are pinned by the gate.
-echo "==> memwall smoke benchmark (release)"
-cargo run -p qdd-bench --release --bin memwall -- --smoke
-
-# Autotune smoke: the model search must beat the hand-set default on
-# every backend and produce a bitwise-reproducible plan (both asserted
-# inside the binary; the plan fingerprints are pinned by the gate).
-echo "==> autotune smoke benchmark (release)"
-cargo run -p qdd-bench --release --bin autotune -- --smoke
-
-# Bench gate: the deterministic fields of the fresh smoke reports above
-# (iterations, fault counters, trace ids, timeline shapes) must match the
-# committed baselines in results/baselines/. On drift it points at
-# results/FLIGHT_chaos.jsonl for the post-mortem.
-echo "==> bench gate vs committed baselines"
-python3 scripts/bench_gate.py
+smoke
 
 echo "==> cargo fmt --check"
 cargo fmt --check

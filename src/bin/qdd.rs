@@ -4,7 +4,7 @@
 //! qdd solve [--dims X,Y,Z,T] [--block X,Y,Z,T] [--mass M] [--spread S]
 //!           [--ischwarz N] [--idomain N] [--basis M] [--deflate K]
 //!           [--tol T] [--solver dd|bicgstab|cgnr|richardson] [--workers N]
-//!           [--scalar-outer] [--seed N] [--half] [--no-overlap] [--trace PATH]
+//!           [--seed N] [--half] [--no-overlap] [--trace PATH]
 //! qdd hmc   [--dims X,Y,Z,T] [--beta B] [--trajectories N] [--steps N]
 //!           [--length L] [--seed N]
 //! qdd serve [--dims X,Y,Z,T] [--block X,Y,Z,T] [--requests N] [--configs K]
@@ -22,7 +22,6 @@
 //!           [--dims X,Y,Z,T] [--layout X,Y,Z,T] [--cores N]
 //!           [--basis M] [--deflate K] [--base-outer N] [--top N]
 //!           [--seed N] [--calibrate PATH] [--json PATH]
-//! qdd model table2|table3|fig5|fig6|fig7|bound
 //! qdd info
 //! ```
 //!
@@ -158,7 +157,6 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
                     Precision::Single
                 },
                 workers,
-                fused_outer: !args.has("scalar-outer"),
                 ..Default::default()
             };
             let solver = DdSolver::new(op, cfg).ok_or("singular clover block")?;
@@ -876,17 +874,6 @@ fn cmd_hmc(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_model(which: &str) -> Result<(), String> {
-    // The model generators live in qdd-bench binaries; point there.
-    match which {
-        "table2" | "table3" | "fig5" | "fig6" | "fig7" | "bound" => {
-            println!("run: cargo run -p qdd-bench --release --bin {which}");
-            Ok(())
-        }
-        other => Err(format!("unknown model target '{other}'")),
-    }
-}
-
 fn cmd_info() {
     println!("lattice-qcd-dd: Rust reproduction of Heybrock et al., SC 2014");
     println!("(domain-decomposition Wilson-Clover solver for KNC clusters)\n");
@@ -903,10 +890,7 @@ fn cmd_info() {
         100.0 * eff,
         bound
     );
-    println!(
-        "\nsubcommands: solve, serve, hmc, chaos, tune, \
-         model <table2|table3|fig5|fig6|fig7|bound>, info"
-    );
+    println!("\nsubcommands: solve, serve, hmc, chaos, tune, info");
 }
 
 fn main() -> ExitCode {
@@ -917,10 +901,6 @@ fn main() -> ExitCode {
         Some("hmc") => Args::parse(&argv[1..]).and_then(|a| cmd_hmc(&a)),
         Some("tune") => Args::parse(&argv[1..]).and_then(|a| cmd_tune(&a)),
         Some("chaos") => Args::parse(&argv[1..]).and_then(|a| cmd_chaos(&a)),
-        Some("model") => match argv.get(1) {
-            Some(w) => cmd_model(w),
-            None => Err("model needs a target".into()),
-        },
         Some("info") | None => {
             cmd_info();
             Ok(())
